@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import OptimizerConfig, classical_correlation, concurrence
+from .correlations import OptimizerConfig, clamp_discord, classical_correlation, concurrence
 from .entropy import (
     ProjectiveMeasurement,
     measured_conditional_entropy,
@@ -168,11 +168,7 @@ def evaluate_bounds(
     s_cond = s_ab - s_b
     mutual = mutual_information(rho)
     classical = classical_correlation(rho, cfg)
-    disc = mutual - classical
-    if disc < 0.0:
-        if disc < -1e-6:
-            raise RuntimeError(f"discord estimate {disc:.3e} below noise floor")
-        disc = 0.0
+    disc = clamp_discord(mutual - classical)
     u = uncertainty_sum(rho, x, z)
     u_b1 = float(np.log2(1.0 / c) + s_cond)
     u_b2 = u_b1 + max(0.0, disc - classical)

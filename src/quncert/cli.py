@@ -134,7 +134,10 @@ def _build_parser() -> _Parser:
 
 
 def _cfg_from(args) -> OptimizerConfig:
-    return OptimizerConfig(grid_points=args.grid, restarts=args.restarts, seed=args.seed)
+    try:
+        return OptimizerConfig(grid_points=args.grid, restarts=args.restarts, seed=args.seed)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _cmd_scenario(args) -> int:

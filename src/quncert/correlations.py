@@ -2,12 +2,13 @@
 quantum discord, and two-qubit concurrence.
 
 The classical correlation is the maximum Holevo quantity over rank-1
-projective measurements on subsystem A. For a qubit A the search is a dense
-Bloch-angle grid followed by coordinate-wise golden-section refinement; for a
-qutrit A the basis is parameterized by eight rotation-generator coefficients
-and optimized from multiple seeded starting points, since that landscape is
-not convex. The returned value is a certified lower estimate of the
-projective optimum.
+projective measurements on subsystem A, each candidate evaluated through
+:func:`quncert.entropy.branch_spectra`. One coordinate-wise golden-section
+routine refines both searches. For a qubit A it starts from the best point of
+a dense Bloch-angle grid; for a qutrit A the basis is parameterized by eight
+rotation-generator coefficients and refined from multiple seeded starting
+points, since that landscape is not convex. The returned value is a certified
+lower estimate of the projective optimum.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import ProjectiveMeasurement, entropy_of_spectrum, mutual_information, xlog2x
-from .linalg import PAULI_Y, DensityMatrix, kron, ptrace_mat
+from .entropy import ProjectiveMeasurement, branch_spectra, entropy_of_spectrum
+from .entropy import mutual_information, xlog2x
+from .linalg import PAULI_Y, PAULIS, DensityMatrix, kron, ptrace_mat
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 DISCORD_NOISE = 1e-6
@@ -37,6 +39,11 @@ _GELL_MANN.append(np.diag([1.0, -1.0, 0.0]).astype(complex))
 _GELL_MANN.append(np.diag([1.0, 1.0, -2.0]).astype(complex) / np.sqrt(3.0))
 _GELL_MANN = np.array(_GELL_MANN)
 
+# Stacked Paulis, so n.sigma is one matmul, and the two halves of (1 +- n.sigma)/2.
+_PAULI_ROWS = np.array(PAULIS).reshape(3, 4)
+_HALF_EYE = np.eye(2) / 2.0
+_HALF_SIGNS = np.array([0.5, -0.5])[:, None, None]
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -49,61 +56,24 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.grid_points < 2 or self.refine_iters < 1 or self.restarts < 1:
-            raise ValueError("grid_points, refine_iters and restarts must be positive")
+            raise ValueError(f"need grid_points >= 2, refine_iters >= 1, restarts >= 1: {self}")
+
+
+def _memory_entropy(rho: DensityMatrix) -> float:
+    return entropy_of_spectrum(np.linalg.eigvalsh(ptrace_mat(rho.mat, rho.dims, "B")))
+
+
+def _holevo(s_b: float, mu: np.ndarray):
+    """S(B) - sum_k p_k S(rho_B|k) from branch spectra mu of shape (..., K, dB).
+
+    Uses the unnormalised-spectrum identity p S(rho_B|k) = -sum mu log2 mu + p log2 p.
+    """
+    return s_b + xlog2x(mu).sum(axis=(-2, -1)) - xlog2x(mu.sum(axis=-1)).sum(axis=-1)
 
 
 def holevo_quantity(rho: DensityMatrix, meas: ProjectiveMeasurement) -> float:
     """S(rho_B) - sum_j p_j S(rho_B|j) for a measurement on A."""
-    dA, dB = rho.dims
-    if meas.dim != dA:
-        raise ValueError(f"measurement dimension {meas.dim} != dA {dA}")
-    r = rho.mat.reshape(dA, dB, dA, dB)
-    s_b = entropy_of_spectrum(np.linalg.eigvalsh(ptrace_mat(rho.mat, rho.dims, "B")))
-    avg = 0.0
-    for proj in meas.projectors:
-        branch = np.einsum("ab,aibj->ij", proj.T, r)
-        w = np.linalg.eigvalsh(branch)
-        p = float(w.sum())
-        if p > 1e-14:
-            avg += entropy_of_spectrum(w) + p * np.log2(p)
-    return s_b - avg
-
-
-# ---------------------------------------------------------------------------
-# qubit-A search
-
-def _qubit_basis(theta, phi):
-    """Orthonormal measurement pair for Bloch angles; broadcasts over arrays."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    ph = np.exp(1j * phi)
-    v_plus = np.stack([c + 0j, ph * s], axis=-1)
-    v_minus = np.stack([-s + 0j, ph * c], axis=-1)
-    return v_plus, v_minus
-
-
-def _avg_conditional_entropy(r, vecs):
-    """Average post-measurement memory entropy for batched rank-1 outcomes.
-
-    r is the state reshaped (dA, dB, dA, dB); vecs has shape (m, outcomes, dA).
-    Uses the unnormalized-spectrum identity p*S(B/p) = -sum mu log2 mu + p log2 p.
-    """
-    branch = np.einsum("moa,aibj,mob->moij", vecs.conj(), r, vecs)
-    w = np.linalg.eigvalsh(branch)
-    w = np.where(w > 0.0, w, 0.0)
-    p = w.sum(axis=-1)
-    ent = -xlog2x(w).sum(axis=-1) + xlog2x(p)
-    return ent.sum(axis=-1)
-
-
-def _holevo_angles(r, s_b, theta, phi):
-    v_plus, v_minus = _qubit_basis(theta, phi)
-    vecs = np.stack([v_plus, v_minus], axis=-2)
-    if vecs.ndim == 2:
-        vecs = vecs[None, ...]
-        return float(s_b - _avg_conditional_entropy(r, vecs)[0])
-    return s_b - _avg_conditional_entropy(r, vecs)
+    return float(_holevo(_memory_entropy(rho), branch_spectra(rho, meas.projectors)))
 
 
 def _golden_max(f, lo: float, hi: float, iters: int):
@@ -124,38 +94,58 @@ def _golden_max(f, lo: float, hi: float, iters: int):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
+def _coordinate_ascent(f, x, fx: float, windows, sweeps: int, iters: int, shrink: float = 1.0):
+    """Coordinate-wise golden-section ascent of f from x, where fx = f(x).
+
+    Each sweep searches every coordinate k in turn over x[k] +- windows[k],
+    the others held at their current values, and moves only on improvement;
+    the windows then scale by shrink. Returns the best value found.
+    """
+    x = np.array(x, dtype=float)
+    windows = np.array(windows, dtype=float)
+    for _ in range(sweeps):
+        for k in range(x.size):
+            def along(t, k=k):
+                xt = x.copy()
+                xt[k] = t
+                return f(xt)
+
+            t_best, f_best = _golden_max(along, x[k] - windows[k], x[k] + windows[k], iters)
+            if f_best > fx:
+                fx = f_best
+                x[k] = t_best
+        windows = windows * shrink
+    return fx
+
+
+# ---------------------------------------------------------------------------
+# qubit-A search
+
+def _qubit_projectors(angles: np.ndarray) -> np.ndarray:
+    """Projectors (1 +- n.sigma)/2 for Bloch angles (theta, phi) on the last axis."""
+    theta, phi = angles[..., 0], angles[..., 1]
+    s = np.sin(theta)
+    n = np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1)
+    n_sigma = (n @ _PAULI_ROWS).reshape(n.shape[:-1] + (1, 2, 2))
+    return _HALF_EYE + _HALF_SIGNS * n_sigma
+
+
 def _maximize_qubit(rho: DensityMatrix, cfg: OptimizerConfig) -> float:
-    dA, dB = rho.dims
-    r = rho.mat.reshape(dA, dB, dA, dB)
-    s_b = entropy_of_spectrum(np.linalg.eigvalsh(ptrace_mat(rho.mat, rho.dims, "B")))
+    s_b = _memory_entropy(rho)
+
+    def f(x):
+        return float(_holevo(s_b, branch_spectra(rho, _qubit_projectors(x))))
 
     g = cfg.grid_points
     thetas = np.linspace(0.0, np.pi, g)
     phis = np.linspace(0.0, 2.0 * np.pi, g, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    vals = _holevo_angles(r, s_b, tt.ravel(), pp.ravel())
+    grid = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
+    vals = _holevo(s_b, branch_spectra(rho, _qubit_projectors(grid)))
     k = int(np.argmax(vals))
-    best = float(vals[k])
-    theta, phi = float(tt.ravel()[k]), float(pp.ravel()[k])
-
-    d_theta = np.pi / (g - 1)
-    d_phi = 2.0 * np.pi / g
-    passes = 6
-    iters = max(4, cfg.refine_iters // passes)
-    for sweep in range(passes):
-        if sweep % 2 == 0:
-            x, fx = _golden_max(
-                lambda t: _holevo_angles(r, s_b, t, phi), theta - d_theta, theta + d_theta, iters
-            )
-            if fx > best:
-                best, theta = fx, x
-        else:
-            x, fx = _golden_max(
-                lambda q: _holevo_angles(r, s_b, theta, q), phi - d_phi, phi + d_phi, iters
-            )
-            if fx > best:
-                best, phi = fx, x
-    return best
+    windows = (np.pi / (g - 1), 2.0 * np.pi / g)
+    return _coordinate_ascent(
+        f, grid[k], float(vals[k]), windows, sweeps=3, iters=max(4, cfg.refine_iters // 6)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -163,47 +153,27 @@ def _maximize_qubit(rho: DensityMatrix, cfg: OptimizerConfig) -> float:
 
 def _qutrit_basis(coeffs: np.ndarray) -> np.ndarray:
     """Unitary exp(i * sum c_k G_k) whose columns form the measurement basis."""
-    h = np.tensordot(coeffs, _GELL_MANN, axes=(0, 0))
+    h = (coeffs @ _GELL_MANN.reshape(8, 9)).reshape(3, 3)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def _holevo_qutrit(r, s_b, coeffs) -> float:
-    u = _qutrit_basis(coeffs)
-    vecs = u.T[None, :, :]
-    return float(s_b - _avg_conditional_entropy(r, vecs)[0])
-
-
 def _maximize_qutrit(rho: DensityMatrix, cfg: OptimizerConfig) -> float:
-    dA, dB = rho.dims
-    r = rho.mat.reshape(dA, dB, dA, dB)
-    s_b = entropy_of_spectrum(np.linalg.eigvalsh(ptrace_mat(rho.mat, rho.dims, "B")))
+    s_b = _memory_entropy(rho)
+
+    def f(x):
+        cols = _qutrit_basis(x).T
+        projectors = cols[:, :, None] * cols.conj()[:, None, :]
+        return float(_holevo(s_b, branch_spectra(rho, projectors)))
 
     rng = np.random.default_rng(cfg.seed)
     starts = [np.zeros(8)]  # computational basis start hits the symmetric optima exactly
     starts += [rng.uniform(-np.pi, np.pi, size=8) for _ in range(cfg.restarts - 1)]
-
-    sweeps = 3
-    iters = max(6, cfg.refine_iters // (8 * sweeps))
-    best = -np.inf
-    for x0 in starts:
-        x = np.array(x0, dtype=float)
-        fx = _holevo_qutrit(r, s_b, x)
-        window = np.pi / 2
-        for _ in range(sweeps):
-            for k in range(8):
-                def along(t, k=k):
-                    xt = x.copy()
-                    xt[k] = t
-                    return _holevo_qutrit(r, s_b, xt)
-
-                t_best, f_best = _golden_max(along, x[k] - window, x[k] + window, iters)
-                if f_best > fx:
-                    fx = f_best
-                    x[k] = t_best
-            window *= 0.3
-        best = max(best, fx)
-    return float(best)
+    iters = max(6, cfg.refine_iters // 24)
+    return max(
+        _coordinate_ascent(f, x0, f(x0), [np.pi / 2] * 8, sweeps=3, iters=iters, shrink=0.3)
+        for x0 in starts
+    )
 
 
 def classical_correlation(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:
@@ -231,7 +201,11 @@ def bell_diagonal_classical_closed(c1: float, c2: float, c3: float) -> float:
 
 def discord(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:
     """A-side quantum discord: mutual information minus classical correlation."""
-    value = mutual_information(rho) - classical_correlation(rho, cfg)
+    return clamp_discord(mutual_information(rho) - classical_correlation(rho, cfg))
+
+
+def clamp_discord(value: float) -> float:
+    """Zero a discord estimate within DISCORD_NOISE below zero; fail further below."""
     if value < 0.0:
         if value < -DISCORD_NOISE:
             raise RuntimeError(f"discord estimate {value:.3e} below noise floor")

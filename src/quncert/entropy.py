@@ -11,7 +11,6 @@ import numpy as np
 from .linalg import DensityMatrix, kron, ptrace_mat, validate_density
 
 PROB_TOL = 1e-9
-EIG_CLIP = 1e-12
 NEGLIGIBLE_OUTCOME = 1e-14
 
 
@@ -109,6 +108,8 @@ def measure_on_A(rho: DensityMatrix, meas: ProjectiveMeasurement) -> Measurement
 
     Outcomes with probability below 1e-14 get the maximally mixed conditional
     state by convention; their weight in any entropy average is negligible.
+    Each branch is built and validated explicitly, so the test suite uses this
+    as the independent reference for :func:`branch_spectra`.
     """
     dA, dB = rho.dims
     if meas.dim != dA:
@@ -136,12 +137,33 @@ def measure_on_A(rho: DensityMatrix, meas: ProjectiveMeasurement) -> Measurement
     )
 
 
-def measured_conditional_entropy(rho: DensityMatrix, meas: ProjectiveMeasurement) -> float:
-    """Conditional entropy S(post-measurement state) - S(B) of an A-side measurement.
+def branch_spectra(rho: DensityMatrix, projectors) -> np.ndarray:
+    """Eigenvalues of the unnormalised memory branches Tr_A[(P_k x 1) rho].
 
-    Equals sum_i p_i S(rho_B|i) + H(P) - S(rho_B); the two routes are compared
-    in the test suite.
+    The one kernel behind U, the Holevo quantity and the J search. projectors
+    is a stack of A-side projectors of shape (..., K, dA, dA); the result has
+    shape (..., K, dB), clipped at zero. Branch k's eigenvalues sum to the
+    outcome probability p_k and are p_k times the spectrum of rho_B|k.
     """
-    outcome = measure_on_A(rho, meas)
-    s_b = von_neumann(ptrace_mat(rho.mat, rho.dims, "B"))
-    return von_neumann(outcome.post_state) - s_b
+    dA, dB = rho.dims
+    projectors = np.asarray(projectors)
+    if projectors.shape[-2:] != (dA, dA):
+        d = projectors.shape[-1]
+        raise ValueError(f"measurement acts on dimension {d}, state has dA={dA}")
+    branches = np.einsum("...ba,aibj->...ij", projectors, rho.mat.reshape(dA, dB, dA, dB))
+    return np.maximum(np.linalg.eigvalsh(branches), 0.0)
+
+
+def measured_conditional_entropy(rho: DensityMatrix, meas: ProjectiveMeasurement) -> float:
+    """Conditional entropy S(post-measurement state) - S(B) of a rank-1 measurement on A.
+
+    With rank-1 projectors the post-measurement state sum_k P_k x rho_B,k has
+    the branch spectra as its spectrum, so S(X|B) = -sum mu log2 mu - S(B).
+    Equals sum_i p_i S(rho_B|i) + H(P) - S(rho_B); the test suite compares the
+    two routes, the second through :func:`measure_on_A`.
+    """
+    ranks = np.trace(meas.projectors, axis1=-2, axis2=-1).real
+    if np.abs(ranks - 1.0).max() > PROB_TOL:
+        raise ValueError(f"measured conditional entropy needs rank-1 projectors, got {ranks}")
+    s_post = float(-xlog2x(branch_spectra(rho, meas.projectors)).sum())
+    return s_post - von_neumann(ptrace_mat(rho.mat, rho.dims, "B"))

@@ -65,10 +65,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
-
-
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     a = np.asarray(a)
     return a.shape[0] == a.shape[1] and np.abs(a - a.conj().T).max() <= tol

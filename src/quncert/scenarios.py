@@ -317,8 +317,10 @@ def verify(
     dA, dB = dims
     if dA not in (2, 3):
         raise ScenarioError(f"unsupported measured-side dimension dA={dA}")
-    if dB > 4:
+    if not 1 <= dB <= 4:
         raise ScenarioError(f"unsupported memory dimension dB={dB}")
+    if n_states < 0:
+        raise ScenarioError(f"n_states must be non-negative, got {n_states}")
     cfg = cfg or OptimizerConfig()
     opt_tol = BOUND_TOL_OPT if dA == 2 else 1e-3
     tolerances = {"U_b1": BOUND_TOL, "U_b2": opt_tol, "U_b3": opt_tol, "single": BOUND_TOL}

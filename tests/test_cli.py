@@ -116,6 +116,25 @@ def test_verify_small_run(capsys):
 def test_verify_rejects_bad_dims(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "5", "--dims", "5,2")
     assert code == 1
+    code, _, err = run_cli(capsys, "verify", "--n", "5", "--dims", "2,0")
+    assert code == 1
+    assert "dB=0" in err
+    code, out, err = run_cli(capsys, "verify", "--n", "-5")
+    assert code == 1
+    assert "n_states" in err and "min slack" not in out
+
+
+@pytest.mark.parametrize("command", ["scenario", "verify", "info"])
+@pytest.mark.parametrize("flag", [("--grid", "1"), ("--restarts", "0")])
+def test_bad_optimizer_flags_are_usage_errors(capsys, command, flag):
+    target = {
+        "scenario": ["werner-qubit", "--sweep", "0:1:2"],
+        "verify": ["--n", "1"],
+        "info": ["--state", "werner:d=2,f=0.8"],
+    }[command]
+    code, out, err = run_cli(capsys, command, *target, *flag)
+    assert code == 1
+    assert err.startswith("usage error:") and out == ""
 
 
 def test_info_werner(capsys):

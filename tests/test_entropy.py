@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quncert.correlations import holevo_quantity
 from quncert.entropy import (
     ProjectiveMeasurement,
     conditional_entropy,
@@ -171,15 +172,39 @@ def test_mutual_information_bell_diagonal():
     assert abs(mutual_information(bell_diagonal(-0.8, -0.8, -0.8)) - 1.1524153201754261) < 1e-12
 
 
+ALL_DIMS = [(d_a, d_b) for d_a in (2, 3) for d_b in (1, 2, 3, 4)]
+
+
+def random_measurement(d):
+    g = np_rng.normal(size=(d, d)) + 1j * np_rng.normal(size=(d, d))
+    _, v = np.linalg.eigh((g + g.conj().T) / 2)
+    return ProjectiveMeasurement.from_basis(v)
+
+
 def test_dual_form_identity():
-    for _ in range(200):
-        dims = (2, 2) if np_rng.random() < 0.5 else (2, 3)
+    for dims in ALL_DIMS * 50:
         rho = random_density(np_rng, dims)
-        g = np_rng.normal(size=(2, 2)) + 1j * np_rng.normal(size=(2, 2))
-        _, v = np.linalg.eigh((g + g.conj().T) / 2)
-        meas = ProjectiveMeasurement.from_basis(v)
+        meas = random_measurement(dims[0])
         lhs = measured_conditional_entropy(rho, meas)
         assert abs(lhs - three_term_form(rho, meas)) <= 1e-9
+
+
+def test_holevo_plus_measured_entropy_is_outcome_entropy():
+    # chi + S(X|B) = H(P): the J side and the U side read the same branches
+    for dims in ALL_DIMS * 50:
+        rho = random_density(np_rng, dims)
+        meas = random_measurement(dims[0])
+        rho_a = ptrace_mat(rho.mat, dims, "A")
+        probs = [float(np.trace(p @ rho_a).real) for p in meas.projectors]
+        total = holevo_quantity(rho, meas) + measured_conditional_entropy(rho, meas)
+        assert abs(total - shannon(probs)) <= 1e-12
+
+
+def test_measured_entropy_rejects_higher_rank_projectors():
+    rho = random_density(np_rng, (3, 2))
+    meas = ProjectiveMeasurement([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
+    with pytest.raises(ValueError, match="rank-1"):
+        measured_conditional_entropy(rho, meas)
 
 
 def test_measurement_never_decreases_entropy():
