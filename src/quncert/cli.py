@@ -104,32 +104,29 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="quncert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"quncert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    optimizer = _Parser(add_help=False)
+    optimizer.add_argument("--seed", type=int, default=0)
+    optimizer.add_argument("--grid", type=int, default=64)
+    optimizer.add_argument("--restarts", type=int, default=8)
 
-    sc = sub.add_parser("scenario", help="run a named sweep and emit CSV")
+    sc = sub.add_parser("scenario", parents=[optimizer], help="run a named sweep and emit CSV")
     sc.add_argument("name", choices=SCENARIO_NAMES)
     sc.add_argument("--sweep", help="start:stop:steps override")
     sc.add_argument("--param", action="append", metavar="K=V", help="parameter override")
     sc.add_argument("--obs", help="builtin:i,j Pauli pair override")
     sc.add_argument("--obs-file", nargs=2, metavar=("X", "Z"), help="observable matrix files")
     sc.add_argument("--out", help="output CSV path (default stdout)")
-    sc.add_argument("--seed", type=int, default=0)
-    sc.add_argument("--grid", type=int, default=64)
-    sc.add_argument("--restarts", type=int, default=8)
 
-    ver = sub.add_parser("verify", help="fuzz the bound inequalities on random states")
+    ver = sub.add_parser(
+        "verify", parents=[optimizer], help="fuzz the bound inequalities on random states"
+    )
     ver.add_argument("--n", type=int, default=2000)
     ver.add_argument("--dims", default="2,2", help="dA,dB")
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--grid", type=int, default=64)
-    ver.add_argument("--restarts", type=int, default=8)
 
-    info = sub.add_parser("info", help="print the bound report of one state")
+    info = sub.add_parser("info", parents=[optimizer], help="print the bound report of one state")
     info.add_argument("--state", required=True, help="state spec, e.g. werner:d=2,f=0.8")
     info.add_argument("--obs", default="builtin:1,3")
     info.add_argument("--obs-file", nargs=2, metavar=("X", "Z"))
-    info.add_argument("--seed", type=int, default=0)
-    info.add_argument("--grid", type=int, default=64)
-    info.add_argument("--restarts", type=int, default=8)
     return parser
 
 

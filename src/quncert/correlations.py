@@ -2,13 +2,15 @@
 quantum discord, and two-qubit concurrence.
 
 The classical correlation is the maximum Holevo quantity over rank-1
-projective measurements on subsystem A, each candidate evaluated through
-:func:`quncert.entropy.branch_spectra`. One coordinate-wise golden-section
-routine refines both searches. For a qubit A it starts from the best point of
-a dense Bloch-angle grid; for a qutrit A the basis is parameterized by eight
-rotation-generator coefficients and refined from multiple seeded starting
-points, since that landscape is not convex. The returned value is a certified
-lower estimate of the projective optimum.
+projective measurements on subsystem A. One search serves qubit and qutrit A:
+it scores every start with one :func:`quncert.entropy.branch_spectra` call and
+refines the best of them with one coordinate-wise golden-section routine. For
+a qubit A the starts are a Bloch-angle grid that lists each measurement once
+(n and -n are the same measurement, so theta covers only the first half of
+its range) and only the best grid point is refined; for a qutrit A the basis
+is parameterized by eight rotation-generator coefficients and every seeded
+start is refined, since that landscape is not convex. The returned value is a
+certified lower estimate of the projective optimum.
 """
 
 from __future__ import annotations
@@ -118,8 +120,26 @@ def _coordinate_ascent(f, x, fx: float, windows, sweeps: int, iters: int, shrink
     return fx
 
 
-# ---------------------------------------------------------------------------
-# qubit-A search
+def _search(rho: DensityMatrix, projectors, starts: np.ndarray, keep: int, windows, sweeps: int,
+            iters: int, shrink: float = 1.0) -> float:
+    """Maximize the Holevo quantity over the measurements projectors(x).
+
+    projectors maps parameters (..., P) to rank-1 projectors (..., K, dA, dA).
+    All starts (N, P) are scored in one kernel call; the best keep of them are
+    refined by _coordinate_ascent and the best refined value is returned.
+    """
+    s_b = _memory_entropy(rho)
+
+    def value(x):
+        return _holevo(s_b, branch_spectra(rho, projectors(x)))
+
+    scores = value(starts)
+    return max(
+        _coordinate_ascent(lambda x: float(value(x)), starts[k], float(scores[k]), windows,
+                           sweeps, iters, shrink)
+        for k in np.argsort(-scores, kind="stable")[:keep]
+    )
+
 
 def _qubit_projectors(angles: np.ndarray) -> np.ndarray:
     """Projectors (1 +- n.sigma)/2 for Bloch angles (theta, phi) on the last axis."""
@@ -130,59 +150,33 @@ def _qubit_projectors(angles: np.ndarray) -> np.ndarray:
     return _HALF_EYE + _HALF_SIGNS * n_sigma
 
 
-def _maximize_qubit(rho: DensityMatrix, cfg: OptimizerConfig) -> float:
-    s_b = _memory_entropy(rho)
-
-    def f(x):
-        return float(_holevo(s_b, branch_spectra(rho, _qubit_projectors(x))))
-
-    g = cfg.grid_points
-    thetas = np.linspace(0.0, np.pi, g)
-    phis = np.linspace(0.0, 2.0 * np.pi, g, endpoint=False)
-    grid = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
-    vals = _holevo(s_b, branch_spectra(rho, _qubit_projectors(grid)))
-    k = int(np.argmax(vals))
-    windows = (np.pi / (g - 1), 2.0 * np.pi / g)
-    return _coordinate_ascent(
-        f, grid[k], float(vals[k]), windows, sweeps=3, iters=max(4, cfg.refine_iters // 6)
-    )
-
-
-# ---------------------------------------------------------------------------
-# qutrit-A search
-
-def _qutrit_basis(coeffs: np.ndarray) -> np.ndarray:
-    """Unitary exp(i * sum c_k G_k) whose columns form the measurement basis."""
-    h = (coeffs @ _GELL_MANN.reshape(8, 9)).reshape(3, 3)
+def _qutrit_projectors(coeffs: np.ndarray) -> np.ndarray:
+    """Projectors onto the columns of exp(i * sum c_k G_k) for coefficients c on the last axis."""
+    h = (coeffs @ _GELL_MANN.reshape(8, 9)).reshape(coeffs.shape[:-1] + (3, 3))
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
-def _maximize_qutrit(rho: DensityMatrix, cfg: OptimizerConfig) -> float:
-    s_b = _memory_entropy(rho)
-
-    def f(x):
-        cols = _qutrit_basis(x).T
-        projectors = cols[:, :, None] * cols.conj()[:, None, :]
-        return float(_holevo(s_b, branch_spectra(rho, projectors)))
-
-    rng = np.random.default_rng(cfg.seed)
-    starts = [np.zeros(8)]  # computational basis start hits the symmetric optima exactly
-    starts += [rng.uniform(-np.pi, np.pi, size=8) for _ in range(cfg.restarts - 1)]
-    iters = max(6, cfg.refine_iters // 24)
-    return max(
-        _coordinate_ascent(f, x0, f(x0), [np.pi / 2] * 8, sweeps=3, iters=iters, shrink=0.3)
-        for x0 in starts
-    )
+    u = (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    cols = np.swapaxes(u, -1, -2)  # row k is column k of u
+    return cols[..., :, :, None] * cols.conj()[..., :, None, :]
 
 
 def classical_correlation(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:
     """Maximum Holevo information extractable by a projective measurement on A."""
     cfg = cfg or OptimizerConfig()
     if rho.dA == 2:
-        return _maximize_qubit(rho, cfg)
+        # n and -n give the same measurement, so theta stops at the first half of its grid
+        g = cfg.grid_points
+        thetas = np.linspace(0.0, np.pi, g)[: (g + 1) // 2]
+        phis = np.linspace(0.0, 2.0 * np.pi, g, endpoint=False)
+        grid = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
+        windows = (np.pi / (g - 1), 2.0 * np.pi / g)
+        return _search(rho, _qubit_projectors, grid, keep=1, windows=windows, sweeps=3,
+                       iters=max(4, cfg.refine_iters // 6))
     if rho.dA == 3:
-        return _maximize_qutrit(rho, cfg)
+        # the computational-basis start hits the symmetric optima exactly
+        rng = np.random.default_rng(cfg.seed)
+        starts = np.vstack([np.zeros(8), rng.uniform(-np.pi, np.pi, size=(cfg.restarts - 1, 8))])
+        return _search(rho, _qutrit_projectors, starts, keep=len(starts), windows=[np.pi / 2] * 8,
+                       sweeps=3, iters=max(6, cfg.refine_iters // 24), shrink=0.3)
     raise ValueError(f"unsupported measured-side dimension dA={rho.dA}; need 2 or 3")
 
 

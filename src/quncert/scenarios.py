@@ -14,7 +14,16 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import BOUND_TOL, BOUND_TOL_OPT, BoundReport, Observable, evaluate_bounds
+from .bounds import (
+    BOUND_TOL,
+    BOUND_TOL_OPT,
+    BoundReport,
+    Observable,
+    evaluate_bounds,
+    observable_measurement,
+    single_system_bound,
+    uncertainty_sum,
+)
 from .channels import (
     apply_kraus,
     jc_survival,
@@ -24,7 +33,6 @@ from .channels import (
     random_field_state,
 )
 from .correlations import OptimizerConfig
-from .entropy import ProjectiveMeasurement, shannon, von_neumann
 from .linalg import DensityMatrix, partial_trace, validate_density
 from .observables import bundled_observable, pauli_observable, su3_pair
 from .states import (
@@ -67,31 +75,6 @@ class _Scenario:
     notes: tuple[str, ...] = ()
 
 
-def _fraction_sweep(x: float, _p: dict) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise ScenarioError(f"sweep value {x} outside [0, 1]")
-
-
-def _build_werner_qubit(x, p):
-    _fraction_sweep(x, p)
-    return werner(2, x)
-
-
-def _build_werner_qutrit(x, p):
-    _fraction_sweep(x, p)
-    return werner(3, x)
-
-
-def _build_isotropic_d2(x, p):
-    _fraction_sweep(x, p)
-    return isotropic(2, x)
-
-
-def _build_isotropic_d3(x, p):
-    _fraction_sweep(x, p)
-    return isotropic(3, x)
-
-
 def _build_qubit_qutrit(x, p):
     return qubit_qudit(p["alpha"], x, kind="qutrit")
 
@@ -101,13 +84,11 @@ def _build_qubit_ququart(x, p):
 
 
 def _build_ad_markov(x, p):
-    _fraction_sweep(x, p)
     rho0 = bell_diagonal(p["c1"], p["c2"], p["c3"])
     return apply_kraus(rho0, local_channel("amplitude", x, x))
 
 
 def _build_pd_markov(x, p):
-    _fraction_sweep(x, p)
     rho0 = bell_diagonal(p["c1"], p["c2"], p["c3"])
     return apply_kraus(rho0, local_channel("phase", x, x))
 
@@ -127,7 +108,6 @@ def _build_sudden(x, p):
 
 
 def _build_one_sided_pd(x, p):
-    _fraction_sweep(x, p)
     b, r, d = p["b"], p["r"], p["d"]
     if abs(b + d - 1.0) > 1e-9:
         raise ScenarioError(f"weights b={b} and d={d} must sum to 1")
@@ -143,28 +123,28 @@ _REGISTRY: dict[str, _Scenario] = {
     "werner-qubit": _Scenario(
         sweep=(0.0, 1.0, 101),
         params={},
-        build=_build_werner_qubit,
+        build=lambda x, p: werner(2, x),
         default_obs=lambda: (pauli_observable(1), pauli_observable(3)),
         sweep_label="f",
     ),
     "werner-qutrit": _Scenario(
         sweep=(0.0, 1.0, 101),
         params={},
-        build=_build_werner_qutrit,
+        build=lambda x, p: werner(3, x),
         default_obs=su3_pair,
         sweep_label="f",
     ),
     "isotropic-d2": _Scenario(
         sweep=(0.0, 1.0, 101),
         params={},
-        build=_build_isotropic_d2,
+        build=lambda x, p: isotropic(2, x),
         default_obs=lambda: (bundled_observable("x1"), bundled_observable("z1")),
         sweep_label="f",
     ),
     "isotropic-d3": _Scenario(
         sweep=(0.0, 1.0, 101),
         params={},
-        build=_build_isotropic_d3,
+        build=lambda x, p: isotropic(3, x),
         default_obs=lambda: (bundled_observable("x2"), bundled_observable("z2")),
         sweep_label="f",
     ),
@@ -340,14 +320,9 @@ def verify(
             "U_b3": report.U - report.U_b3,
         }
         rho_a = partial_trace(rho, "A")
-        h_sum = 0.0
-        for obs in (x, z):
-            projs = ProjectiveMeasurement.from_basis(obs.eigensystem.vectors)
-            probs = np.array(
-                [float(np.trace(p @ rho_a.mat).real) for p in projs.projectors]
-            )
-            h_sum += shannon(probs / probs.sum())
-        here["single"] = h_sum - 2.0 * von_neumann(rho_a)
+        here["single"] = uncertainty_sum(rho_a, x, z) - single_system_bound(
+            rho_a, observable_measurement(x), observable_measurement(z)
+        )
         for key, slack in here.items():
             slacks[key] = min(slacks[key], slack)
             if slack < -tolerances[key]:

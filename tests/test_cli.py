@@ -79,6 +79,19 @@ def test_scenario_rejects_bad_sweep(capsys):
     assert "sweep" in err
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "werner-qubit", "werner-qutrit", "isotropic-d2", "isotropic-d3",
+        "ad-markov", "pd-markov", "one-sided-pd",
+    ],
+)
+def test_scenario_rejects_sweep_outside_unit_interval(capsys, name):
+    code, _, err = run_cli(capsys, "scenario", name, "--sweep", "0:2:3", "--grid", "8")
+    assert code == 1
+    assert name in err
+
+
 def test_scenario_obs_override(capsys):
     code, out, _ = run_cli(
         capsys, "scenario", "werner-qubit", "--sweep", "0.5:0.5:1",

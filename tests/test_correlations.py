@@ -92,12 +92,20 @@ def test_optimizer_matches_closed_form_on_bell_diagonal():
         (0.0, 0.0, 0.9),
         (0.2, 0.1, -0.05),
     ]
+    # J is invariant under a local unitary on A and a local isometry C^2 -> C^dB on B;
+    # the rotation moves the optimum off the grid axes and into either hemisphere
+    rng = np.random.default_rng(20240805)
     for c1, c2, c3 in triples:
         rho = bell_diagonal(c1, c2, c3)
-        got = classical_correlation(rho)
         want = bell_diagonal_classical_closed(c1, c2, c3)
-        assert abs(got - want) <= 1e-5
-        assert got <= want + 1e-9  # never exceeds the projective optimum
+        states = [rho]
+        for d_b in (2, 3, 4):
+            w = kron(rand_unitary(2, rng), rand_unitary(d_b, rng)[:, :2])
+            states.append(validate_density(w @ rho.mat @ w.conj().T, (2, d_b)))
+        for state in states:
+            got = classical_correlation(state)
+            assert abs(got - want) <= 1e-5
+            assert got <= want + 1e-9  # never exceeds the projective optimum
 
 
 def test_optimizer_grid_convergence():
