@@ -4,13 +4,16 @@ quantum discord, and two-qubit concurrence.
 The classical correlation is the maximum Holevo quantity over rank-1
 projective measurements on subsystem A. One search serves qubit and qutrit A:
 it scores every start with one :func:`quncert.entropy.branch_spectra` call and
-refines the best of them with one coordinate-wise golden-section routine. For
-a qubit A the starts are a Bloch-angle grid that lists each measurement once
-(n and -n are the same measurement, so theta covers only the first half of
-its range) and only the best grid point is refined; for a qutrit A the basis
-is parameterized by eight rotation-generator coefficients and every seeded
-start is refined, since that landscape is not convex. The returned value is a
-certified lower estimate of the projective optimum.
+refines the best of them with one coordinate-wise golden-section routine, in
+which the refined starts advance in lock-step: each golden-section step
+evaluates one new point per start in one kernel call. For a qubit A the starts
+are a Bloch-angle grid that lists each measurement once (n and -n are the same
+measurement, so theta covers only the first half of its range, and the pole
+theta = 0 appears once, at phi = 0) and only the best grid point is refined;
+for a qutrit A the basis is parameterized by eight rotation-generator
+coefficients and every seeded start is refined, since that landscape is not
+convex. The returned value is a certified lower estimate of the projective
+optimum.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .entropy import ProjectiveMeasurement, branch_spectra, entropy_of_spectrum
 from .entropy import mutual_information, xlog2x
 from .linalg import PAULI_Y, PAULIS, DensityMatrix, kron, ptrace_mat
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+GOLDEN = float((np.sqrt(5.0) - 1.0) / 2.0)
 DISCORD_NOISE = 1e-6
 X_FORM_TOL = 1e-10
 
@@ -78,44 +81,62 @@ def holevo_quantity(rho: DensityMatrix, meas: ProjectiveMeasurement) -> float:
     return float(_holevo(_memory_entropy(rho), branch_spectra(rho, meas.projectors)))
 
 
-def _golden_max(f, lo: float, hi: float, iters: int):
-    """Golden-section maximization of a scalar function on [lo, hi]."""
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
+def _golden_max(f, lo, hi, iters: int):
+    """Golden-section maximization on the intervals [lo[l], hi[l]], all lanes in lock-step.
+
+    f maps an array holding one point per lane to their values; it is called
+    once per step for all lanes. Each lane makes the same comparisons and
+    updates as a search of its own. The brackets are Python floats, which for
+    the few lanes of a search cost less than array bookkeeping. Returns the
+    best point and value of each lane as two lists.
+    """
+    a, b = list(lo), list(hi)
+    x1 = [bl - GOLDEN * (bl - al) for al, bl in zip(a, b)]
+    x2 = [al + GOLDEN * (bl - al) for al, bl in zip(a, b)]
+    f1, f2 = f(np.array(x1)).tolist(), f(np.array(x2)).tolist()
+    lanes = range(len(a))
     for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+        up = [f1[l] < f2[l] for l in lanes]
+        for l in lanes:
+            if up[l]:
+                a[l], x1[l], f1[l] = x1[l], x2[l], f2[l]
+                x2[l] = a[l] + GOLDEN * (b[l] - a[l])
+            else:
+                b[l], x2[l], f2[l] = x2[l], x1[l], f1[l]
+                x1[l] = b[l] - GOLDEN * (b[l] - a[l])
+        fresh = f(np.array([x2[l] if up[l] else x1[l] for l in lanes])).tolist()
+        for l in lanes:
+            if up[l]:
+                f2[l] = fresh[l]
+            else:
+                f1[l] = fresh[l]
+    best = [(x1[l], f1[l]) if f1[l] >= f2[l] else (x2[l], f2[l]) for l in lanes]
+    return [t for t, _ in best], [v for _, v in best]
 
 
-def _coordinate_ascent(f, x, fx: float, windows, sweeps: int, iters: int, shrink: float = 1.0):
-    """Coordinate-wise golden-section ascent of f from x, where fx = f(x).
+def _coordinate_ascent(f, x, fx, windows, sweeps: int, iters: int, shrink: float = 1.0):
+    """Coordinate-wise golden-section ascent of f from the L rows of x, where fx = f(x).
 
-    Each sweep searches every coordinate k in turn over x[k] +- windows[k],
-    the others held at their current values, and moves only on improvement;
-    the windows then scale by shrink. Returns the best value found.
+    Each sweep searches every coordinate k in turn over x[l, k] +- windows[k],
+    the others held at their current values, and lane l moves only on
+    improvement; the windows then scale by shrink. All lanes advance in
+    lock-step through _golden_max. Returns the best value of each lane.
     """
     x = np.array(x, dtype=float)
+    fx = [float(v) for v in fx]
     windows = np.array(windows, dtype=float)
     for _ in range(sweeps):
-        for k in range(x.size):
+        for k in range(x.shape[1]):
             def along(t, k=k):
                 xt = x.copy()
-                xt[k] = t
+                xt[:, k] = t
                 return f(xt)
 
-            t_best, f_best = _golden_max(along, x[k] - windows[k], x[k] + windows[k], iters)
-            if f_best > fx:
-                fx = f_best
-                x[k] = t_best
+            t_best, f_best = _golden_max(along, x[:, k] - windows[k], x[:, k] + windows[k], iters)
+            for l, (t, v) in enumerate(zip(t_best, f_best)):
+                if v > fx[l]:
+                    fx[l] = v
+                    x[l, k] = t
         windows = windows * shrink
     return fx
 
@@ -126,7 +147,8 @@ def _search(rho: DensityMatrix, projectors, starts: np.ndarray, keep: int, windo
 
     projectors maps parameters (..., P) to rank-1 projectors (..., K, dA, dA).
     All starts (N, P) are scored in one kernel call; the best keep of them are
-    refined by _coordinate_ascent and the best refined value is returned.
+    refined together by _coordinate_ascent, one kernel call per golden-section
+    step, and the best refined value is returned.
     """
     s_b = _memory_entropy(rho)
 
@@ -134,11 +156,8 @@ def _search(rho: DensityMatrix, projectors, starts: np.ndarray, keep: int, windo
         return _holevo(s_b, branch_spectra(rho, projectors(x)))
 
     scores = value(starts)
-    return max(
-        _coordinate_ascent(lambda x: float(value(x)), starts[k], float(scores[k]), windows,
-                           sweeps, iters, shrink)
-        for k in np.argsort(-scores, kind="stable")[:keep]
-    )
+    best = np.argsort(-scores, kind="stable")[:keep]
+    return max(_coordinate_ascent(value, starts[best], scores[best], windows, sweeps, iters, shrink))
 
 
 def _qubit_projectors(angles: np.ndarray) -> np.ndarray:
@@ -159,25 +178,31 @@ def _qutrit_projectors(coeffs: np.ndarray) -> np.ndarray:
     return cols[..., :, :, None] * cols.conj()[..., :, None, :]
 
 
-def classical_correlation(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:
-    """Maximum Holevo information extractable by a projective measurement on A."""
-    cfg = cfg or OptimizerConfig()
+def _search_plan(rho: DensityMatrix, cfg: OptimizerConfig) -> dict:
+    """The keyword arguments of _search for rho's A side: projector map, starts, schedule."""
     if rho.dA == 2:
-        # n and -n give the same measurement, so theta stops at the first half of its grid
+        # n and -n give the same measurement, so theta stops at the first half of its
+        # grid; the pole theta = 0 is one measurement for every phi and is kept once
         g = cfg.grid_points
         thetas = np.linspace(0.0, np.pi, g)[: (g + 1) // 2]
         phis = np.linspace(0.0, 2.0 * np.pi, g, endpoint=False)
         grid = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
-        windows = (np.pi / (g - 1), 2.0 * np.pi / g)
-        return _search(rho, _qubit_projectors, grid, keep=1, windows=windows, sweeps=3,
-                       iters=max(4, cfg.refine_iters // 6))
+        return dict(projectors=_qubit_projectors, starts=np.delete(grid, np.s_[1:g], axis=0),
+                    keep=1, windows=(np.pi / (g - 1), 2.0 * np.pi / g), sweeps=3,
+                    iters=max(4, cfg.refine_iters // 6))
     if rho.dA == 3:
         # the computational-basis start hits the symmetric optima exactly
         rng = np.random.default_rng(cfg.seed)
         starts = np.vstack([np.zeros(8), rng.uniform(-np.pi, np.pi, size=(cfg.restarts - 1, 8))])
-        return _search(rho, _qutrit_projectors, starts, keep=len(starts), windows=[np.pi / 2] * 8,
-                       sweeps=3, iters=max(6, cfg.refine_iters // 24), shrink=0.3)
+        return dict(projectors=_qutrit_projectors, starts=starts, keep=len(starts),
+                    windows=[np.pi / 2] * 8, sweeps=3, iters=max(6, cfg.refine_iters // 24),
+                    shrink=0.3)
     raise ValueError(f"unsupported measured-side dimension dA={rho.dA}; need 2 or 3")
+
+
+def classical_correlation(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:
+    """Maximum Holevo information extractable by a projective measurement on A."""
+    return _search(rho, **_search_plan(rho, cfg or OptimizerConfig()))
 
 
 def bell_diagonal_classical_closed(c1: float, c2: float, c3: float) -> float:

@@ -15,12 +15,13 @@ NEGLIGIBLE_OUTCOME = 1e-14
 
 
 def xlog2x(p):
-    """Entrywise p*log2(p) with the 0*log0 := 0 convention."""
+    """Entrywise p*log2(p) with the 0*log0 := 0 convention.
+
+    Finite entries <= 0 give a zero (-0.0 for negative ones), so they add
+    nothing to a sum. A NaN entry gives NaN, and so does -inf.
+    """
     p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
-    pos = p > 0.0
-    out[pos] = p[pos] * np.log2(p[pos])
-    return out
+    return p * np.log2(np.where(p > 0.0, p, 1.0))
 
 
 def entropy_of_spectrum(w: np.ndarray) -> float:

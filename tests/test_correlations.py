@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from quncert.correlations import (
     OptimizerConfig,
+    _golden_max,
+    _search,
+    _search_plan,
     bell_diagonal_classical_closed,
     classical_correlation,
     concurrence,
@@ -106,6 +111,41 @@ def test_optimizer_matches_closed_form_on_bell_diagonal():
             got = classical_correlation(state)
             assert abs(got - want) <= 1e-5
             assert got <= want + 1e-9  # never exceeds the projective optimum
+
+
+def test_golden_max_lanes_match_one_lane_searches():
+    # a tie lane (constant), an interior peak, a monotone lane and a wiggly one
+    peaks = [0.0, 0.3, 5.0, -0.7]
+    waves = [0.0, 0.0, 0.0, 4.0]
+    scale = [0.0, 1.0, 1.0, 1.0]
+
+    def lanes(idx):
+        def f(t):
+            return np.array([
+                scale[l] * (math.sin(waves[l] * x) - (x - peaks[l]) ** 2)
+                for l, x in zip(idx, t.tolist())
+            ])
+        return f
+
+    lo = [-1.0, -0.5, 0.0, -2.0]
+    hi = [1.0, 1.5, 1.0, 2.0]
+    for iters in (0, 1, 10):
+        t_all, f_all = _golden_max(lanes(range(4)), lo, hi, iters)
+        for l in range(4):
+            (t_one,), (f_one,) = _golden_max(lanes([l]), lo[l:l + 1], hi[l:l + 1], iters)
+            assert (t_all[l], f_all[l]) == (t_one, f_one)
+
+
+@pytest.mark.parametrize("d_b", [2, 3, 4])
+def test_qutrit_lock_step_equals_each_start_refined_alone(d_b):
+    cfg = OptimizerConfig()
+    for i in range(2):
+        rho = random_density(np.random.default_rng((20241018, d_b, i)), (3, d_b))
+        plan = _search_plan(rho, cfg)
+        starts = plan.pop("starts")
+        plan["keep"] = 1
+        alone = [_search(rho, starts=starts[k:k + 1], **plan) for k in range(len(starts))]
+        assert classical_correlation(rho, cfg) == max(alone)
 
 
 def test_optimizer_grid_convergence():

@@ -10,6 +10,7 @@ from quncert.entropy import (
     mutual_information,
     shannon,
     von_neumann,
+    xlog2x,
 )
 from quncert.linalg import PAULI_X, PAULI_Z, kron, partial_trace, ptrace_mat, validate_density
 from quncert.states import bell_diagonal, singlet, werner
@@ -29,6 +30,23 @@ def three_term_form(rho, meas):
     s_b = von_neumann(ptrace_mat(rho.mat, rho.dims, "B"))
     avg = sum(p * von_neumann(c) for p, c in zip(out.probs, out.conditional_states))
     return avg + shannon(out.probs) - s_b
+
+
+def test_xlog2x_matches_masked_definition():
+    # p*log2(p) on the positive entries only; entries <= 0 contribute 0
+    def masked(p):
+        out = np.zeros_like(p)
+        pos = p > 0.0
+        out[pos] = p[pos] * np.log2(p[pos])
+        return out
+
+    p = np.array([0.0, 1e-300, 0.5, 1.0, -1e-17])
+    got = xlog2x(p)
+    assert got[:4].tobytes() == masked(p)[:4].tobytes()
+    assert got[4] == 0.0
+    q = np.random.default_rng(20241018).random((50, 3, 4)) ** 8
+    q[q < 1e-3] = 0.0
+    assert xlog2x(q).tobytes() == masked(q).tobytes()
 
 
 def test_shannon_uniform():
