@@ -31,6 +31,10 @@ BOUND_TOL = 1e-9
 BOUND_TOL_OPT = 1e-4
 
 
+class ObservableDimensionError(ValueError):
+    """The observables do not act on subsystem A of the state."""
+
+
 class Observable:
     """A non-degenerate Hermitian observable with its eigensystem attached."""
 
@@ -158,8 +162,8 @@ def evaluate_bounds(
     D - J = I - 2J stays internally consistent.
     """
     if x.dim != rho.dA or z.dim != rho.dA:
-        raise ValueError(
-            f"observables of dimension {x.dim}/{z.dim} do not act on A with dA={rho.dA}"
+        raise ObservableDimensionError(
+            f"observables X and Z act on dimensions {x.dim} and {z.dim}; the state has dA={rho.dA}"
         )
     cfg = cfg or OptimizerConfig()
     c = complementarity(x, z)

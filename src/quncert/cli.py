@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import Observable, evaluate_bounds
+from .bounds import Observable, ObservableDimensionError, evaluate_bounds
 from .correlations import OptimizerConfig
 from .observables import ObservableFormatError, load_observable_file, pauli_observable
 from .scenarios import (
@@ -215,10 +215,6 @@ def _cmd_info(args) -> int:
     obs = _load_observables(args)
     if obs is None:
         obs = (pauli_observable(1), pauli_observable(3))
-    if obs[0].dim != rho.dA:
-        raise _UsageError(
-            f"observables act on dimension {obs[0].dim}, state has dA={rho.dA}"
-        )
     report = evaluate_bounds(rho, obs[0], obs[1], cfg)
     print(f"state: {args.state}")
     print(f"observables: {_obs_description(args)}")
@@ -249,7 +245,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ScenarioError, StateSpecError, ObservableFormatError) as exc:
+    except (ScenarioError, StateSpecError, ObservableFormatError, ObservableDimensionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -4,17 +4,18 @@ quantum discord, and two-qubit concurrence.
 The classical correlation is the maximum Holevo quantity over rank-1
 projective measurements on subsystem A. One search serves qubit and qutrit A:
 it scores every start with one :func:`quncert.entropy.branch_spectra` call and
-refines the best of them with one coordinate-wise golden-section routine, in
-which the refined starts advance in lock-step: each golden-section step
-evaluates one new point per start in one kernel call. For a qubit A the starts
-are a Bloch-angle grid that lists each measurement once (n and -n are the same
-measurement, so theta covers only the first half of its range, and the pole
-theta = 0 appears once, at phi = 0) and only the best grid point is refined;
-for a qutrit A the basis is parameterized by eight rotation-generator
-coefficients and every seeded start is refined, since that landscape is not
-convex. The returned value is a certified lower estimate of the projective
-optimum.
-"""
+refines the best of them with one cyclic compass search (the coordinate
+pattern search of Kolda, Lewis & Torczon, SIAM Review 45:385, 2003), in which
+the refined starts advance in lock-step: each step tries +- one step length
+along one coordinate for every start, all in one kernel call, and a start
+that does not improve halves its step along that coordinate. For a qubit A
+the starts are a Bloch-angle grid that lists each measurement once (n and -n
+are the same measurement, so theta covers only the first half of its range,
+and the pole theta = 0 appears once, at phi = 0), only the best grid point is
+refined, and the first steps are half the grid spacing; for a qutrit A the
+basis is parameterized by eight rotation-generator coefficients and every
+seeded start is refined, since that landscape is not convex. The returned
+value is a certified lower estimate of the projective optimum."""
 
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from .entropy import ProjectiveMeasurement, branch_spectra, entropy_of_spectrum
 from .entropy import mutual_information, xlog2x
 from .linalg import PAULI_Y, PAULIS, DensityMatrix, kron, ptrace_mat
 
-GOLDEN = float((np.sqrt(5.0) - 1.0) / 2.0)
 DISCORD_NOISE = 1e-6
 X_FORM_TOL = 1e-10
 
@@ -81,74 +81,43 @@ def holevo_quantity(rho: DensityMatrix, meas: ProjectiveMeasurement) -> float:
     return float(_holevo(_memory_entropy(rho), branch_spectra(rho, meas.projectors)))
 
 
-def _golden_max(f, lo, hi, iters: int):
-    """Golden-section maximization on the intervals [lo[l], hi[l]], all lanes in lock-step.
+def _pattern_search(f, x, fx, step, steps_per_coord: int):
+    """Cyclic compass search for the maxima of f from the L rows of x, where fx = f(x).
 
-    f maps an array holding one point per lane to their values; it is called
-    once per step for all lanes. Each lane makes the same comparisons and
-    updates as a search of its own. The brackets are Python floats, which for
-    the few lanes of a search cost less than array bookkeeping. Returns the
-    best point and value of each lane as two lists.
-    """
-    a, b = list(lo), list(hi)
-    x1 = [bl - GOLDEN * (bl - al) for al, bl in zip(a, b)]
-    x2 = [al + GOLDEN * (bl - al) for al, bl in zip(a, b)]
-    f1, f2 = f(np.array(x1)).tolist(), f(np.array(x2)).tolist()
-    lanes = range(len(a))
-    for _ in range(iters):
-        up = [f1[l] < f2[l] for l in lanes]
-        for l in lanes:
-            if up[l]:
-                a[l], x1[l], f1[l] = x1[l], x2[l], f2[l]
-                x2[l] = a[l] + GOLDEN * (b[l] - a[l])
-            else:
-                b[l], x2[l], f2[l] = x2[l], x1[l], f1[l]
-                x1[l] = b[l] - GOLDEN * (b[l] - a[l])
-        fresh = f(np.array([x2[l] if up[l] else x1[l] for l in lanes])).tolist()
-        for l in lanes:
-            if up[l]:
-                f2[l] = fresh[l]
-            else:
-                f1[l] = fresh[l]
-    best = [(x1[l], f1[l]) if f1[l] >= f2[l] else (x2[l], f2[l]) for l in lanes]
-    return [t for t, _ in best], [v for _, v in best]
-
-
-def _coordinate_ascent(f, x, fx, windows, sweeps: int, iters: int, shrink: float = 1.0):
-    """Coordinate-wise golden-section ascent of f from the L rows of x, where fx = f(x).
-
-    Each sweep searches every coordinate k in turn over x[l, k] +- windows[k],
-    the others held at their current values, and lane l moves only on
-    improvement; the windows then scale by shrink. All lanes advance in
-    lock-step through _golden_max. Returns the best value of each lane.
+    Step s works on coordinate k = s mod P: every lane l tries x[l] +- h[l, k] e_k,
+    all 2L trials in one f call on a (2, L, P) array. A lane moves to its better
+    trial only if that strictly improves on fx[l] (on a tie the + trial wins);
+    otherwise it halves h[l, k]. h starts at step for every lane. Each lane makes
+    the same moves as a search of its own. Returns the best value of each lane.
     """
     x = np.array(x, dtype=float)
-    fx = [float(v) for v in fx]
-    windows = np.array(windows, dtype=float)
-    for _ in range(sweeps):
-        for k in range(x.shape[1]):
-            def along(t, k=k):
-                xt = x.copy()
-                xt[:, k] = t
-                return f(xt)
-
-            t_best, f_best = _golden_max(along, x[:, k] - windows[k], x[:, k] + windows[k], iters)
-            for l, (t, v) in enumerate(zip(t_best, f_best)):
-                if v > fx[l]:
-                    fx[l] = v
-                    x[l, k] = t
-        windows = windows * shrink
+    fx = np.array(fx, dtype=float)
+    n_lanes, n_coords = x.shape
+    h = np.full(x.shape, step, dtype=float)
+    lanes = np.arange(n_lanes)
+    signs = np.array([1.0, -1.0])[:, None, None]
+    axes = np.eye(n_coords)
+    for s in range(steps_per_coord * n_coords):
+        k = s % n_coords
+        trial = x + signs * (h[:, k, None] * axes[k])
+        f_trial = f(trial)
+        pick = f_trial.argmax(axis=0)
+        best = f_trial[pick, lanes]
+        up = best > fx
+        x = np.where(up[:, None], trial[pick, lanes], x)
+        fx = np.where(up, best, fx)
+        h[~up, k] *= 0.5
     return fx
 
 
-def _search(rho: DensityMatrix, projectors, starts: np.ndarray, keep: int, windows, sweeps: int,
-            iters: int, shrink: float = 1.0) -> float:
+def _search(rho: DensityMatrix, projectors, starts: np.ndarray, keep: int, step,
+            steps_per_coord: int) -> float:
     """Maximize the Holevo quantity over the measurements projectors(x).
 
     projectors maps parameters (..., P) to rank-1 projectors (..., K, dA, dA).
     All starts (N, P) are scored in one kernel call; the best keep of them are
-    refined together by _coordinate_ascent, one kernel call per golden-section
-    step, and the best refined value is returned.
+    refined together by _pattern_search, one kernel call per step, and the best
+    refined value is returned.
     """
     s_b = _memory_entropy(rho)
 
@@ -157,7 +126,7 @@ def _search(rho: DensityMatrix, projectors, starts: np.ndarray, keep: int, windo
 
     scores = value(starts)
     best = np.argsort(-scores, kind="stable")[:keep]
-    return max(_coordinate_ascent(value, starts[best], scores[best], windows, sweeps, iters, shrink))
+    return float(_pattern_search(value, starts[best], scores[best], step, steps_per_coord).max())
 
 
 def _qubit_projectors(angles: np.ndarray) -> np.ndarray:
@@ -179,7 +148,7 @@ def _qutrit_projectors(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _search_plan(rho: DensityMatrix, cfg: OptimizerConfig) -> dict:
-    """The keyword arguments of _search for rho's A side: projector map, starts, schedule."""
+    """The keyword arguments of _search for rho's A side: projector map, starts, steps."""
     if rho.dA == 2:
         # n and -n give the same measurement, so theta stops at the first half of its
         # grid; the pole theta = 0 is one measurement for every phi and is kept once
@@ -188,15 +157,14 @@ def _search_plan(rho: DensityMatrix, cfg: OptimizerConfig) -> dict:
         phis = np.linspace(0.0, 2.0 * np.pi, g, endpoint=False)
         grid = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
         return dict(projectors=_qubit_projectors, starts=np.delete(grid, np.s_[1:g], axis=0),
-                    keep=1, windows=(np.pi / (g - 1), 2.0 * np.pi / g), sweeps=3,
-                    iters=max(4, cfg.refine_iters // 6))
+                    keep=1, step=(np.pi / (g - 1) / 2, np.pi / g),
+                    steps_per_coord=max(4, cfg.refine_iters // 6))
     if rho.dA == 3:
         # the computational-basis start hits the symmetric optima exactly
         rng = np.random.default_rng(cfg.seed)
         starts = np.vstack([np.zeros(8), rng.uniform(-np.pi, np.pi, size=(cfg.restarts - 1, 8))])
         return dict(projectors=_qutrit_projectors, starts=starts, keep=len(starts),
-                    windows=[np.pi / 2] * 8, sweeps=3, iters=max(6, cfg.refine_iters // 24),
-                    shrink=0.3)
+                    step=np.pi / 2, steps_per_coord=max(6, cfg.refine_iters // 11))
     raise ValueError(f"unsupported measured-side dimension dA={rho.dA}; need 2 or 3")
 
 

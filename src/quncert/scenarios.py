@@ -381,12 +381,18 @@ def parse_state_spec(text: str) -> DensityMatrix:
             raise StateSpecError(
                 f"column {cursor + 1}: unknown parameter {key!r} for {name} (takes {', '.join(keys)})"
             )
+        if key in values:
+            raise StateSpecError(f"column {cursor + 1}: parameter {key!r} given twice")
         try:
             values[key] = float(val)
         except ValueError:
             raise StateSpecError(
                 f"column {cursor + len(key) + 2}: cannot parse number {val.strip()!r}"
             ) from None
+        if key == "d" and not values[key].is_integer():
+            raise StateSpecError(
+                f"column {cursor + len(key) + 2}: {key} must be an integer, got {val.strip()!r}"
+            )
         cursor += len(chunk) + 1
     missing = [k for k in keys if k not in values]
     if missing:

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import quncert
 from quncert.cli import main
 from quncert.correlations import OptimizerConfig
 from quncert.scenarios import (
@@ -201,6 +204,32 @@ def test_parse_state_spec_families():
 def test_parse_state_spec_missing_params():
     with pytest.raises(StateSpecError, match="missing"):
         parse_state_spec("werner:d=2")
+
+
+@pytest.mark.parametrize("text, column, message", [
+    ("isotropic:d=3.99,f=0.5", 13, "integer"),
+    ("werner:d=2.9,f=0.5", 10, "integer"),
+    ("werner:d=2,f=0.8,f=0.1", 18, "twice"),
+])
+def test_parse_state_spec_rejects_rewritten_values(text, column, message):
+    with pytest.raises(StateSpecError, match=f"column {column}: .*{message}"):
+        parse_state_spec(text)
+
+
+@pytest.mark.parametrize("argv, dims", [
+    (["info", "--state", "werner:d=2,f=0.8", "--obs-file", "x1.txt", "x2.txt"],
+     "dimensions 2 and 3; the state has dA=2"),
+    (["scenario", "werner-qubit", "--sweep", "0:1:2", "--obs-file", "x2.txt", "z2.txt"],
+     "dimensions 3 and 3; the state has dA=2"),
+    (["scenario", "werner-qutrit", "--sweep", "0:1:2", "--obs", "builtin:1,3"],
+     "dimensions 2 and 2; the state has dA=3"),
+], ids=["info", "scenario-qubit", "scenario-qutrit"])
+def test_observable_dimension_mismatch_is_usage_error(capsys, argv, dims):
+    data = Path(quncert.__file__).parent / "data"
+    argv = [str(data / a) if a.endswith(".txt") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("usage error:") and dims in err
 
 
 def test_run_scenario_rows_ordered():

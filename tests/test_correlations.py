@@ -5,7 +5,7 @@ import pytest
 
 from quncert.correlations import (
     OptimizerConfig,
-    _golden_max,
+    _pattern_search,
     _search,
     _search_plan,
     bell_diagonal_classical_closed,
@@ -113,27 +113,43 @@ def test_optimizer_matches_closed_form_on_bell_diagonal():
             assert got <= want + 1e-9  # never exceeds the projective optimum
 
 
-def test_golden_max_lanes_match_one_lane_searches():
+def test_pattern_search_lanes_match_one_lane_searches():
     # a tie lane (constant), an interior peak, a monotone lane and a wiggly one
-    peaks = [0.0, 0.3, 5.0, -0.7]
+    peaks = [(0.0, 0.0), (0.3, -0.2), (5.0, 1.0), (-0.7, 0.4)]
     waves = [0.0, 0.0, 0.0, 4.0]
     scale = [0.0, 1.0, 1.0, 1.0]
+    x0 = np.array([[0.1, -0.3], [-0.5, 0.5], [0.0, 0.2], [1.0, -1.0]])
 
-    def lanes(idx):
-        def f(t):
-            return np.array([
-                scale[l] * (math.sin(waves[l] * x) - (x - peaks[l]) ** 2)
-                for l, x in zip(idx, t.tolist())
-            ])
-        return f
+    def value(l, p):
+        bumps = math.sin(waves[l] * p[0]) * math.cos(waves[l] * p[1])
+        return scale[l] * (bumps - (p[0] - peaks[l][0]) ** 2 - (p[1] - peaks[l][1]) ** 2)
 
-    lo = [-1.0, -0.5, 0.0, -2.0]
-    hi = [1.0, 1.5, 1.0, 2.0]
-    for iters in (0, 1, 10):
-        t_all, f_all = _golden_max(lanes(range(4)), lo, hi, iters)
+    def run(idx, steps_per_coord):
+        trials = []
+
+        def f(x):
+            trials.append(x.copy())
+            return np.array([[value(l, p) for l, p in zip(idx, row.tolist())] for row in x])
+
+        fx = np.array([value(l, p) for l, p in zip(idx, x0[idx].tolist())])
+        best = _pattern_search(f, x0[idx], fx, (0.5, 0.25), steps_per_coord)
+        return best, np.array(trials).reshape(-1, 2, len(idx), 2)
+
+    for steps_per_coord in (0, 1, 10):
+        best_all, trials_all = run([0, 1, 2, 3], steps_per_coord)
+        assert len(trials_all) == 2 * steps_per_coord
         for l in range(4):
-            (t_one,), (f_one,) = _golden_max(lanes([l]), lo[l:l + 1], hi[l:l + 1], iters)
-            assert (t_all[l], f_all[l]) == (t_one, f_one)
+            best_one, trials_one = run([l], steps_per_coord)
+            assert best_all[l] == best_one[0]
+            assert np.array_equal(trials_all[:, :, l], trials_one[:, :, 0])
+
+
+@pytest.mark.parametrize("d_b, i", [(d_b, i) for d_b in (2, 3, 4) for i in range(3)] + [(4, 14)])
+def test_qubit_search_reaches_high_effort_optimum(d_b, i):
+    # (4, 14) lies on a curved ridge that a coordinate search climbs slowly
+    rho = random_density(np.random.default_rng((12345, 2, d_b, i)), (2, d_b))
+    high = classical_correlation(rho, OptimizerConfig(grid_points=256, refine_iters=2000))
+    assert classical_correlation(rho) >= high - 1e-9
 
 
 @pytest.mark.parametrize("d_b", [2, 3, 4])
