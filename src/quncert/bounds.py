@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import OptimizerConfig, clamp_discord, classical_correlation, concurrence
+from .correlations import (
+    OptimizerConfig,
+    clamp_discord,
+    classical_correlation,
+    classical_correlations,
+    concurrence,
+)
 from .entropy import (
     ProjectiveMeasurement,
     measured_conditional_entropy,
@@ -150,28 +156,25 @@ class BoundReport:
         return f"{names[0]} (ties with {', '.join(names[1:])})"
 
 
-def evaluate_bounds(
-    rho: DensityMatrix,
-    x: Observable,
-    z: Observable,
-    cfg: OptimizerConfig | None = None,
+def _check_observables(dA: int, x: Observable, z: Observable):
+    if x.dim != dA or z.dim != dA:
+        raise ObservableDimensionError(
+            f"observables X and Z act on dimensions {x.dim} and {z.dim}; the state has dA={dA}"
+        )
+
+
+def _report(
+    rho: DensityMatrix, x: Observable, z: Observable, c: float, classical: float
 ) -> BoundReport:
-    """Compute U, the three bounds, and the correlation measures in one pass.
+    """The report of one state, given the complementarity c and the classical correlation.
 
     U_b2 reuses the classical-correlation estimate that enters the discord, so
     D - J = I - 2J stays internally consistent.
     """
-    if x.dim != rho.dA or z.dim != rho.dA:
-        raise ObservableDimensionError(
-            f"observables X and Z act on dimensions {x.dim} and {z.dim}; the state has dA={rho.dA}"
-        )
-    cfg = cfg or OptimizerConfig()
-    c = complementarity(x, z)
     s_ab = von_neumann(rho)
     s_b = von_neumann(ptrace_mat(rho.mat, rho.dims, "B"))
     s_cond = s_ab - s_b
     mutual = mutual_information(rho)
-    classical = classical_correlation(rho, cfg)
     disc = clamp_discord(mutual - classical)
     u = uncertainty_sum(rho, x, z)
     u_b1 = float(np.log2(1.0 / c) + s_cond)
@@ -192,3 +195,31 @@ def evaluate_bounds(
         discord=disc,
         concurrence=con,
     )
+
+
+def evaluate_bounds(
+    rho: DensityMatrix,
+    x: Observable,
+    z: Observable,
+    cfg: OptimizerConfig | None = None,
+) -> BoundReport:
+    """Compute U, the three bounds, and the correlation measures in one pass."""
+    _check_observables(rho.dA, x, z)
+    return _report(rho, x, z, complementarity(x, z), classical_correlation(rho, cfg))
+
+
+def evaluate_bounds_many(
+    rhos,
+    x: Observable,
+    z: Observable,
+    cfg: OptimizerConfig | None = None,
+) -> list[BoundReport]:
+    """evaluate_bounds for each state of a sequence, with one lock-step J search.
+
+    Each report equals the one evaluate_bounds gives for its state.
+    """
+    for dA in sorted({rho.dA for rho in rhos}):
+        _check_observables(dA, x, z)
+    c = complementarity(x, z)
+    classical = classical_correlations(rhos, cfg)
+    return [_report(rho, x, z, c, float(j)) for rho, j in zip(rhos, classical)]

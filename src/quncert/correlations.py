@@ -2,20 +2,23 @@
 quantum discord, and two-qubit concurrence.
 
 The classical correlation is the maximum Holevo quantity over rank-1
-projective measurements on subsystem A. One search serves qubit and qutrit A:
-it scores every start with one :func:`quncert.entropy.branch_spectra` call and
-refines the best of them with one cyclic compass search (the coordinate
-pattern search of Kolda, Lewis & Torczon, SIAM Review 45:385, 2003), in which
-the refined starts advance in lock-step: each step tries +- one step length
-along one coordinate for every start, all in one kernel call, and a start
-that does not improve halves its step along that coordinate. For a qubit A
-the starts are a Bloch-angle grid that lists each measurement once (n and -n
-are the same measurement, so theta covers only the first half of its range,
-and the pole theta = 0 appears once, at phi = 0), only the best grid point is
-refined, and the first steps are half the grid spacing; for a qutrit A the
-basis is parameterized by eight rotation-generator coefficients and every
-seeded start is refined, since that landscape is not convex. The returned
-value is a certified lower estimate of the projective optimum."""
+projective measurements on subsystem A. One search serves qubit and qutrit A,
+and one stack of states of one dims at a time: each state scores every start
+with one :func:`quncert.entropy.branch_spectra` call, and the best starts of
+all states are refined together by one cyclic compass search (the coordinate
+pattern search of Kolda, Lewis & Torczon, SIAM Review 45:385, 2003). The
+refined starts advance in lock-step: each step tries +- one step length along
+one coordinate for every start of every state, all in one kernel call, and a
+start that does not improve halves its step along that coordinate. A state's
+value is the same in any stack, so :func:`classical_correlations` over a sweep
+equals :func:`classical_correlation` state by state. For a qubit A the starts
+are a Bloch-angle grid that lists each measurement once (n and -n are the same
+measurement, so theta covers only the first half of its range, and the pole
+theta = 0 appears once, at phi = 0), only the best grid point is refined, and
+the first steps are half the grid spacing; for a qutrit A the basis is
+parameterized by eight rotation-generator coefficients and every seeded start
+is refined, since that landscape is not convex. The returned value is a
+certified lower estimate of the projective optimum."""
 
 from __future__ import annotations
 
@@ -23,12 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import ProjectiveMeasurement, branch_spectra, entropy_of_spectrum
+from .entropy import ProjectiveMeasurement, branch_matrix, branch_spectra
 from .entropy import mutual_information, xlog2x
 from .linalg import PAULI_Y, PAULIS, DensityMatrix, kron, ptrace_mat
 
 DISCORD_NOISE = 1e-6
 X_FORM_TOL = 1e-10
+# Most states searched in one lock-step stack; it bounds the lane arrays of long sweeps.
+STACK_STATES = 128
 
 # Generators of 3x3 special-unitary rotations (traceless Hermitian basis).
 _GELL_MANN = []
@@ -64,12 +69,16 @@ class OptimizerConfig:
             raise ValueError(f"need grid_points >= 2, refine_iters >= 1, restarts >= 1: {self}")
 
 
-def _memory_entropy(rho: DensityMatrix) -> float:
-    return entropy_of_spectrum(np.linalg.eigvalsh(ptrace_mat(rho.mat, rho.dims, "B")))
+def _memory_entropies(rhos) -> np.ndarray:
+    """S(B) of each state of a sequence."""
+    w = np.linalg.eigvalsh(np.stack([ptrace_mat(r.mat, r.dims, "B") for r in rhos]))
+    return -xlog2x(np.maximum(w, 0.0)).sum(axis=-1)
 
 
-def _holevo(s_b: float, mu: np.ndarray):
+def _holevo(s_b, mu: np.ndarray):
     """S(B) - sum_k p_k S(rho_B|k) from branch spectra mu of shape (..., K, dB).
+
+    s_b is S(B), a float or an array that broadcasts against mu's leading axes.
 
     Uses the unnormalised-spectrum identity p S(rho_B|k) = -sum mu log2 mu + p log2 p.
     """
@@ -78,7 +87,8 @@ def _holevo(s_b: float, mu: np.ndarray):
 
 def holevo_quantity(rho: DensityMatrix, meas: ProjectiveMeasurement) -> float:
     """S(rho_B) - sum_j p_j S(rho_B|j) for a measurement on A."""
-    return float(_holevo(_memory_entropy(rho), branch_spectra(rho, meas.projectors)))
+    mu = branch_spectra(branch_matrix(rho), meas.projectors)
+    return float(_holevo(_memory_entropies([rho])[0], mu))
 
 
 def _pattern_search(f, x, fx, step, steps_per_coord: int):
@@ -110,23 +120,33 @@ def _pattern_search(f, x, fx, step, steps_per_coord: int):
     return fx
 
 
-def _search(rho: DensityMatrix, projectors, starts: np.ndarray, keep: int, step,
-            steps_per_coord: int) -> float:
-    """Maximize the Holevo quantity over the measurements projectors(x).
+def _search(rhos, projectors, starts: np.ndarray, keep: int, step,
+            steps_per_coord: int) -> np.ndarray:
+    """Maximize the Holevo quantity over the measurements projectors(x) for N states of one dims.
 
     projectors maps parameters (..., P) to rank-1 projectors (..., K, dA, dA).
-    All starts (N, P) are scored in one kernel call; the best keep of them are
-    refined together by _pattern_search, one kernel call per step, and the best
-    refined value is returned.
+    The projectors of the starts (S, P) are built once, and each state scores
+    them with one kernel call. The best keep starts of every state become the
+    N * keep lanes of one _pattern_search, so each step is one kernel call for
+    all states. Every state's gemms have the same shapes whatever N is, so a
+    state's value does not depend on its stack. Returns each state's best value.
     """
-    s_b = _memory_entropy(rho)
+    n = len(rhos)
+    m = branch_matrix(rhos)
+    s_b = _memory_entropies(rhos)
+    start_projectors = projectors(starts)
+    scores = np.array([_holevo(s, branch_spectra(mi, start_projectors)) for s, mi in zip(s_b, m)])
+    best = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
 
     def value(x):
-        return _holevo(s_b, branch_spectra(rho, projectors(x)))
+        # lanes (2, N * keep, P) are state-major; the kernel wants the state axis first
+        x = x.reshape(2, n, keep, -1).swapaxes(0, 1)
+        chi = _holevo(s_b[:, None, None], branch_spectra(m, projectors(x)))
+        return chi.swapaxes(0, 1).reshape(2, n * keep)
 
-    scores = value(starts)
-    best = np.argsort(-scores, kind="stable")[:keep]
-    return float(_pattern_search(value, starts[best], scores[best], step, steps_per_coord).max())
+    x0 = starts[best].reshape(n * keep, -1)
+    fx0 = np.take_along_axis(scores, best, axis=1).reshape(-1)
+    return _pattern_search(value, x0, fx0, step, steps_per_coord).reshape(n, keep).max(axis=1)
 
 
 def _qubit_projectors(angles: np.ndarray) -> np.ndarray:
@@ -147,9 +167,9 @@ def _qutrit_projectors(coeffs: np.ndarray) -> np.ndarray:
     return cols[..., :, :, None] * cols.conj()[..., :, None, :]
 
 
-def _search_plan(rho: DensityMatrix, cfg: OptimizerConfig) -> dict:
-    """The keyword arguments of _search for rho's A side: projector map, starts, steps."""
-    if rho.dA == 2:
+def _search_plan(dA: int, cfg: OptimizerConfig) -> dict:
+    """The keyword arguments of _search for an A side of dimension dA: projectors, starts, steps."""
+    if dA == 2:
         # n and -n give the same measurement, so theta stops at the first half of its
         # grid; the pole theta = 0 is one measurement for every phi and is kept once
         g = cfg.grid_points
@@ -159,18 +179,31 @@ def _search_plan(rho: DensityMatrix, cfg: OptimizerConfig) -> dict:
         return dict(projectors=_qubit_projectors, starts=np.delete(grid, np.s_[1:g], axis=0),
                     keep=1, step=(np.pi / (g - 1) / 2, np.pi / g),
                     steps_per_coord=max(4, cfg.refine_iters // 6))
-    if rho.dA == 3:
+    if dA == 3:
         # the computational-basis start hits the symmetric optima exactly
         rng = np.random.default_rng(cfg.seed)
         starts = np.vstack([np.zeros(8), rng.uniform(-np.pi, np.pi, size=(cfg.restarts - 1, 8))])
         return dict(projectors=_qutrit_projectors, starts=starts, keep=len(starts),
                     step=np.pi / 2, steps_per_coord=max(6, cfg.refine_iters // 11))
-    raise ValueError(f"unsupported measured-side dimension dA={rho.dA}; need 2 or 3")
+    raise ValueError(f"unsupported measured-side dimension dA={dA}; need 2 or 3")
+
+
+def classical_correlations(rhos, cfg: OptimizerConfig | None = None) -> np.ndarray:
+    """classical_correlation of each state of a sequence of one dims, searched in lock-step.
+
+    The states are searched in stacks of at most STACK_STATES. A state's value
+    does not depend on its stack, so the cap only bounds memory.
+    """
+    if not rhos:
+        return np.empty(0)
+    plan = _search_plan(rhos[0].dA, cfg or OptimizerConfig())
+    return np.concatenate([_search(rhos[lo:lo + STACK_STATES], **plan)
+                           for lo in range(0, len(rhos), STACK_STATES)])
 
 
 def classical_correlation(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:
     """Maximum Holevo information extractable by a projective measurement on A."""
-    return _search(rho, **_search_plan(rho, cfg or OptimizerConfig()))
+    return float(classical_correlations([rho], cfg)[0])
 
 
 def bell_diagonal_classical_closed(c1: float, c2: float, c3: float) -> float:

@@ -1,9 +1,16 @@
 """Shannon and von Neumann entropies, projective measurements on subsystem A,
 and the conditional entropies built from them. All logarithms are base 2.
+
+:func:`branch_spectra` is the one kernel that forms the memory branches
+Tr_A[(P_k x 1) rho] of a measurement on A. It takes the state as the matrix of
+:func:`branch_matrix`, so that a whole stack of projectors, for one state or
+for a stack of states, is one ``matmul``; a qubit memory's 2x2 branch spectra
+are taken in closed form, larger ones with ``eigvalsh``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,21 +145,59 @@ def measure_on_A(rho: DensityMatrix, meas: ProjectiveMeasurement) -> Measurement
     )
 
 
-def branch_spectra(rho: DensityMatrix, projectors) -> np.ndarray:
+def branch_matrix(rho) -> np.ndarray:
+    """rho as the matrix M with M[(a, b), (i, j)] = rho[(a, i), (b, j)].
+
+    Then Tr_A[(P x 1) rho] is P.T.reshape(dA*dA) @ M, reshaped to dB x dB. rho is
+    one DensityMatrix, giving M of shape (dA*dA, dB*dB), or a sequence of N
+    states of one dims, giving a stack of shape (N, dA*dA, dB*dB).
+    """
+    if isinstance(rho, DensityMatrix):
+        dims, mats = rho.dims, rho.mat
+    else:
+        all_dims = {r.dims for r in rho}
+        if len(all_dims) != 1:
+            raise ValueError(f"a state stack needs one dims, got {sorted(all_dims)}")
+        (dims,) = all_dims
+        mats = np.stack([r.mat for r in rho])
+    dA, dB = dims
+    lead = mats.shape[:-2]
+    t = np.swapaxes(mats.reshape(lead + (dA, dB, dA, dB)), -2, -3)
+    return t.reshape(lead + (dA * dA, dB * dB))
+
+
+def _spectrum_2x2(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of Hermitian 2x2 matrices (..., 2, 2) in closed form.
+
+    t -+ hypot((a - d)/2, |b|) with t = (a + d)/2, read from the diagonal and the
+    lower off-diagonal entry, as ``eigvalsh`` reads them.
+    """
+    a, d, b = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0]
+    t = 0.5 * (a + d)
+    r = np.hypot(0.5 * (a - d), np.hypot(b.real, b.imag))
+    return np.stack([t - r, t + r], axis=-1)
+
+
+def branch_spectra(m: np.ndarray, projectors) -> np.ndarray:
     """Eigenvalues of the unnormalised memory branches Tr_A[(P_k x 1) rho].
 
-    The one kernel behind U, the Holevo quantity and the J search. projectors
-    is a stack of A-side projectors of shape (..., K, dA, dA); the result has
-    shape (..., K, dB), clipped at zero. Branch k's eigenvalues sum to the
-    outcome probability p_k and are p_k times the spectrum of rho_B|k.
+    The one kernel behind U, the Holevo quantity and the J search. m is
+    branch_matrix(rho). For one state, projectors is a stack of A-side
+    projectors of shape (..., K, dA, dA) and the result has shape (..., K, dB).
+    For a stack of N states, the projectors' leading axis indexes the states:
+    (N, ..., K, dA, dA) gives (N, ..., K, dB). All branches are one ``matmul``,
+    one gemm per state. Spectra are clipped at zero; branch k's eigenvalues sum
+    to the outcome probability p_k and are p_k times the spectrum of rho_B|k.
     """
-    dA, dB = rho.dims
+    dA, dB = math.isqrt(m.shape[-2]), math.isqrt(m.shape[-1])
     projectors = np.asarray(projectors)
     if projectors.shape[-2:] != (dA, dA):
         d = projectors.shape[-1]
         raise ValueError(f"measurement acts on dimension {d}, state has dA={dA}")
-    branches = np.einsum("...ba,aibj->...ij", projectors, rho.mat.reshape(dA, dB, dA, dB))
-    return np.maximum(np.linalg.eigvalsh(branches), 0.0)
+    flat = np.swapaxes(projectors, -1, -2).reshape(projectors.shape[: m.ndim - 2] + (-1, dA * dA))
+    branches = (flat @ m).reshape(projectors.shape[:-2] + (dB, dB))
+    spectra = _spectrum_2x2(branches) if dB == 2 else np.linalg.eigvalsh(branches)
+    return np.maximum(spectra, 0.0)
 
 
 def measured_conditional_entropy(rho: DensityMatrix, meas: ProjectiveMeasurement) -> float:
@@ -166,5 +211,5 @@ def measured_conditional_entropy(rho: DensityMatrix, meas: ProjectiveMeasurement
     ranks = np.trace(meas.projectors, axis1=-2, axis2=-1).real
     if np.abs(ranks - 1.0).max() > PROB_TOL:
         raise ValueError(f"measured conditional entropy needs rank-1 projectors, got {ranks}")
-    s_post = float(-xlog2x(branch_spectra(rho, meas.projectors)).sum())
+    s_post = float(-xlog2x(branch_spectra(branch_matrix(rho), meas.projectors)).sum())
     return s_post - von_neumann(ptrace_mat(rho.mat, rho.dims, "B"))

@@ -3,7 +3,10 @@ inequality verifier, and a small state-spec grammar for the inspector.
 
 Every sweep row is a full bound evaluation; rows are deterministic for a
 fixed seed and are checked against the bound inequalities before they are
-emitted.
+emitted. A sweep builds all of its states first and then evaluates them with
+one :func:`quncert.bounds.evaluate_bounds_many` call, whose lock-step J search
+gives every row the value its state gets alone. The verifier evaluates one
+state at a time, since each of its states has its own observables.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .bounds import (
     BoundReport,
     Observable,
     evaluate_bounds,
+    evaluate_bounds_many,
     observable_measurement,
     single_system_bound,
     uncertainty_sum,
@@ -235,15 +239,15 @@ def run_scenario(spec: ScenarioSpec, cfg: OptimizerConfig | None = None) -> list
     if steps < 1 or not (math.isfinite(start) and math.isfinite(stop)) or stop < start:
         raise ScenarioError(f"invalid sweep ({start}, {stop}, {steps})")
     obs = spec.observables or sc.default_obs()
-    rows = []
-    for x in np.linspace(start, stop, steps):
+    xs = [float(x) for x in np.linspace(start, stop, steps)]
+    states = []
+    for x in xs:
         try:
-            rho = sc.build(float(x), params)
+            states.append(sc.build(x, params))
         except ValueError as exc:
-            raise ScenarioError(f"{spec.name} at {sc.sweep_label}={float(x):g}: {exc}") from None
-        report = evaluate_bounds(rho, obs[0], obs[1], cfg)
-        rows.append(TimeSeriesRow(x=float(x), report=report))
-    return rows
+            raise ScenarioError(f"{spec.name} at {sc.sweep_label}={x:g}: {exc}") from None
+    reports = evaluate_bounds_many(states, obs[0], obs[1], cfg)
+    return [TimeSeriesRow(x=x, report=report) for x, report in zip(xs, reports)]
 
 
 # ---------------------------------------------------------------------------

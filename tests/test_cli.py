@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import quncert
+from quncert import scenarios
+from quncert.bounds import evaluate_bounds
 from quncert.cli import main
-from quncert.correlations import OptimizerConfig
+from quncert.correlations import STACK_STATES, OptimizerConfig
 from quncert.scenarios import (
     SCENARIO_NAMES,
     ScenarioSpec,
@@ -237,6 +239,22 @@ def test_run_scenario_rows_ordered():
     xs = [r.x for r in rows]
     assert xs == sorted(xs)
     assert len(rows) == 5
+
+
+@pytest.mark.parametrize("name, steps", [
+    ("pd-markov", 7), ("qubit-ququart", 5), ("werner-qutrit", 5),
+    ("jc-nonmarkov", STACK_STATES + 5),
+])
+def test_run_scenario_rows_equal_per_row_evaluation(name, steps):
+    # the sweep's one stacked J search must give every row the report of its state alone
+    start, stop, _ = scenario_defaults(name)[0]
+    rows = run_scenario(ScenarioSpec(name=name, sweep=(start, stop, steps)))
+    sc = scenarios._REGISTRY[name]
+    x_obs, z_obs = sc.default_obs()
+    assert len(rows) == steps
+    for row in rows:
+        alone = evaluate_bounds(sc.build(row.x, sc.params), x_obs, z_obs)
+        assert repr(row.report) == repr(alone)
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)

@@ -10,6 +10,7 @@ from quncert.correlations import (
     _search_plan,
     bell_diagonal_classical_closed,
     classical_correlation,
+    classical_correlations,
     concurrence,
     concurrence_x,
     discord,
@@ -157,11 +158,37 @@ def test_qutrit_lock_step_equals_each_start_refined_alone(d_b):
     cfg = OptimizerConfig()
     for i in range(2):
         rho = random_density(np.random.default_rng((20241018, d_b, i)), (3, d_b))
-        plan = _search_plan(rho, cfg)
+        plan = _search_plan(3, cfg)
         starts = plan.pop("starts")
         plan["keep"] = 1
-        alone = [_search(rho, starts=starts[k:k + 1], **plan) for k in range(len(starts))]
+        alone = [_search([rho], starts=starts[k:k + 1], **plan)[0] for k in range(len(starts))]
         assert classical_correlation(rho, cfg) == max(alone)
+
+
+def stack_corpus(dims, rng):
+    """Two pure, two classical-quantum and three HS-random states of the given dims."""
+    d_a, d_b = dims
+    states = []
+    for _ in range(2):
+        v = rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b)
+        states.append(validate_density(np.outer(v, v.conj()) / np.vdot(v, v).real, dims))
+    for _ in range(2):
+        u = rand_unitary(d_a, rng)
+        p = rng.dirichlet(np.ones(d_a))
+        mat = sum(p[k] * kron(np.outer(u[:, k], u[:, k].conj()), random_density(rng, (d_b, 1)).mat)
+                  for k in range(d_a))
+        states.append(validate_density(mat, dims))
+    states.extend(random_density(rng, dims) for _ in range(3))
+    return states
+
+
+@pytest.mark.parametrize("dims", [(d_a, d_b) for d_a in (2, 3) for d_b in (1, 2, 3, 4)])
+def test_stacked_search_equals_one_state_search(dims):
+    states = stack_corpus(dims, np.random.default_rng((20241019,) + dims))
+    stacked = classical_correlations(states)
+    assert stacked.tolist() == [classical_correlation(rho) for rho in states]
+    # the order of a stack does not matter either
+    assert classical_correlations(states[::-1]).tolist() == stacked[::-1].tolist()
 
 
 def test_optimizer_grid_convergence():

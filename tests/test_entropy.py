@@ -4,6 +4,9 @@ import pytest
 from quncert.correlations import holevo_quantity
 from quncert.entropy import (
     ProjectiveMeasurement,
+    _spectrum_2x2,
+    branch_matrix,
+    branch_spectra,
     conditional_entropy,
     measure_on_A,
     measured_conditional_entropy,
@@ -216,6 +219,42 @@ def test_holevo_plus_measured_entropy_is_outcome_entropy():
         probs = [float(np.trace(p @ rho_a).real) for p in meas.projectors]
         total = holevo_quantity(rho, meas) + measured_conditional_entropy(rho, meas)
         assert abs(total - shannon(probs)) <= 1e-12
+
+
+def test_closed_form_2x2_spectrum_matches_eigvalsh():
+    rng = np.random.default_rng(20241019)
+    g = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    v = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
+    t = rng.random((50, 1, 1))
+    branches = np.concatenate([
+        g @ np.swapaxes(g.conj(), -1, -2),                         # full rank
+        v[:, :, None] * v.conj()[:, None, :],                      # rank 1
+        np.zeros((1, 2, 2)),
+        np.apply_along_axis(np.diag, 1, rng.random((50, 2))),      # diagonal
+        t * np.eye(2) + 1e-12 * np.array([[1.0, 1j], [-1j, -1.0]]),  # near-degenerate
+    ])
+    scales = 10.0 ** rng.uniform(-300, 0, size=(len(branches), 1, 1))
+    branches = branches / np.trace(branches, axis1=-2, axis2=-1).real.clip(1.0)[:, None, None]
+    for stack in (branches, branches * scales):
+        trace = np.trace(stack, axis1=-2, axis2=-1).real
+        gap = np.abs(_spectrum_2x2(stack) - np.linalg.eigvalsh(stack)).max(axis=-1)
+        assert np.all(gap <= 1e-15 * np.maximum(1.0, trace))
+        # relative to the trace too, so a 1e-300 branch cannot lose its spread to underflow
+        assert np.all(gap <= 1e-15 * trace)
+
+
+@pytest.mark.parametrize("dims", [(d_a, d_b) for d_a in (2, 3) for d_b in (1, 2, 3, 4)])
+def test_branch_spectra_stack_equals_one_state_calls(dims):
+    rng = np.random.default_rng((20241019,) + dims)
+    rhos = [random_density(rng, dims) for _ in range(5)]
+    g = rng.normal(size=(5, 3, dims[0], dims[0])) + 1j * rng.normal(size=(5, 3, dims[0], dims[0]))
+    _, v = np.linalg.eigh(g + np.swapaxes(g.conj(), -1, -2))
+    cols = np.swapaxes(v, -1, -2)
+    projectors = cols[..., :, :, None] * cols.conj()[..., :, None, :]  # (5, 3, dA, dA, dA)
+    stacked = branch_spectra(branch_matrix(rhos), projectors)
+    assert stacked.shape == (5, 3, dims[0], dims[1])
+    for i, rho in enumerate(rhos):
+        assert stacked[i].tobytes() == branch_spectra(branch_matrix(rho), projectors[i]).tobytes()
 
 
 def test_measured_entropy_rejects_higher_rank_projectors():
