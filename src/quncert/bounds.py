@@ -42,7 +42,7 @@ class ObservableDimensionError(ValueError):
 
 
 class Observable:
-    """A non-degenerate Hermitian observable with its eigensystem attached."""
+    """A non-degenerate Hermitian observable with its eigensystem and eigenbasis measurement."""
 
     def __init__(self, mat: np.ndarray, tol: float = 1e-9):
         self.mat = np.asarray(mat, dtype=complex)
@@ -53,6 +53,7 @@ class Observable:
             raise ValueError(
                 f"degenerate observable: eigenvalue gap {self.degeneracy_gap:.3e} <= {DEGENERACY_GAP:g}"
             )
+        self.measurement = ProjectiveMeasurement.from_basis(self.eigensystem.vectors)
 
     @property
     def dim(self) -> int:
@@ -60,8 +61,8 @@ class Observable:
 
 
 def observable_measurement(obs: Observable) -> ProjectiveMeasurement:
-    """Rank-1 eigenprojectors of a non-degenerate observable."""
-    return ProjectiveMeasurement.from_basis(obs.eigensystem.vectors)
+    """Rank-1 eigenprojectors of a non-degenerate observable, built once with it."""
+    return obs.measurement
 
 
 def complementarity(x: Observable, z: Observable) -> float:

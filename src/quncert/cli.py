@@ -9,6 +9,7 @@ bound report for a single state. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -65,12 +66,17 @@ def _parse_params(items) -> dict[str, float]:
     out = {}
     for item in items or ():
         key, eq, val = item.partition("=")
+        key = key.strip()
         if not eq:
             raise _UsageError(f"--param expects key=value, got {item!r}")
+        if key in out:
+            raise _UsageError(f"--param {key!r} given twice")
         try:
-            out[key.strip()] = float(val)
+            out[key] = float(val)
         except ValueError:
             raise _UsageError(f"cannot parse number in --param {item!r}") from None
+        if not math.isfinite(out[key]):
+            raise _UsageError(f"--param {key!r} must be finite, got {val.strip()!r}")
     return out
 
 

@@ -2,57 +2,71 @@
 quantum discord, and two-qubit concurrence.
 
 The classical correlation is the maximum Holevo quantity over rank-1
-projective measurements on subsystem A. One search serves qubit and qutrit A,
-and one stack of states of one dims at a time: each state scores every start
-with one :func:`quncert.entropy.branch_spectra` call, and the best starts of
-all states are refined together by one cyclic compass search (the coordinate
-pattern search of Kolda, Lewis & Torczon, SIAM Review 45:385, 2003). The
-refined starts advance in lock-step: each step tries +- one step length along
-one coordinate for every start of every state, all in one kernel call, and a
-start that does not improve halves its step along that coordinate. A state's
-value is the same in any stack, so :func:`classical_correlations` over a sweep
-equals :func:`classical_correlation` state by state. For a qubit A the starts
-are a Bloch-angle grid that lists each measurement once (n and -n are the same
-measurement, so theta covers only the first half of its range, and the pole
-theta = 0 appears once, at phi = 0), only the best grid point is refined, and
-the first steps are half the grid spacing; for a qutrit A the basis is
-parameterized by eight rotation-generator coefficients and every seeded start
-is refined, since that landscape is not convex. The returned value is a
-certified lower estimate of the projective optimum."""
+projective measurements on subsystem A, each given by a basis U of A measured
+along its columns. One search serves qubit and qutrit A, and one stack of
+states of one dims at a time: each state scores every start with one
+:func:`quncert.entropy.branch_spectra` call, and the best bases of all states
+are then polished together by one Newton search in the moving frame
+U exp(i sum c_k T_k), where the T_k are the dA(dA-1) off-diagonal Hermitian
+generators, the directions that change the measurement (a retraction on U(d);
+Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008;
+Abrudan, Eriksson & Koivunen, IEEE TSP 56:1134, 2008). Each Newton iteration
+is two kernel calls for every basis of every state: a central-difference
+stencil for the gradient and Hessian, then a backtracking line search along
+the Levenberg-shifted step. A basis moves only on strict improvement, so the
+value never falls below its start. A state's value is the same in any stack,
+so :func:`classical_correlations` over a sweep equals
+:func:`classical_correlation` state by state.
+
+For a qubit A the starts are a Bloch-angle grid that lists each measurement
+once (n and -n are the same measurement, so theta covers only the first half
+of its range, and the pole theta = 0 appears once, at phi = 0), and the best
+grid point is polished. For a qutrit A the landscape is not convex: seeded
+starts in eight Gell-Mann coordinates are all explored by a short cyclic
+compass search (the coordinate pattern search of Kolda, Lewis & Torczon, SIAM
+Review 45:385, 2003), and the best three are polished. The returned value is
+a certified lower estimate of the projective optimum: the search also finds
+the basis that attains it.
+"""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import ProjectiveMeasurement, branch_matrix, branch_spectra
 from .entropy import mutual_information, xlog2x
-from .linalg import PAULI_Y, PAULIS, DensityMatrix, kron, ptrace_mat
+from .linalg import PAULI_Y, DensityMatrix, kron, ptrace_mat
 
 DISCORD_NOISE = 1e-6
 X_FORM_TOL = 1e-10
 # Most states searched in one lock-step stack; it bounds the lane arrays of long sweeps.
 STACK_STATES = 128
+# Newton polish: stencil spacing, line-search fractions of the step, longest step,
+# and the least gain in bits a step must promise; below it only roundoff is left.
+NEWTON_H = 1e-3
+LINE_STEPS = np.array([1.0, 0.25, 0.0625, 0.015625])
+MAX_MOVE = 0.25
+MIN_GAIN = 1e-15
 
-# Generators of 3x3 special-unitary rotations (traceless Hermitian basis).
-_GELL_MANN = []
-for _i, _j in ((0, 1), (0, 2), (1, 2)):
-    _m = np.zeros((3, 3), dtype=complex)
-    _m[_i, _j] = _m[_j, _i] = 1
-    _GELL_MANN.append(_m)
-    _m = np.zeros((3, 3), dtype=complex)
-    _m[_i, _j] = -1j
-    _m[_j, _i] = 1j
-    _GELL_MANN.append(_m)
-_GELL_MANN.append(np.diag([1.0, -1.0, 0.0]).astype(complex))
-_GELL_MANN.append(np.diag([1.0, 1.0, -2.0]).astype(complex) / np.sqrt(3.0))
-_GELL_MANN = np.array(_GELL_MANN)
 
-# Stacked Paulis, so n.sigma is one matmul, and the two halves of (1 +- n.sigma)/2.
-_PAULI_ROWS = np.array(PAULIS).reshape(3, 4)
-_HALF_EYE = np.eye(2) / 2.0
-_HALF_SIGNS = np.array([0.5, -0.5])[:, None, None]
+def _off_diagonal_generators(d: int) -> np.ndarray:
+    """The d(d-1) Hermitian generators E_ij + E_ji and -i E_ij + i E_ji, i < j."""
+    out = []
+    for i, j in itertools.combinations(range(d), 2):
+        for a in (1.0, -1j):
+            t = np.zeros((d, d), dtype=complex)
+            t[i, j], t[j, i] = a, np.conj(a)
+            out.append(t)
+    return np.array(out)
+
+
+# The qutrit explorer's coordinates: the six off-diagonal generators and the two
+# diagonal Gell-Mann matrices, a traceless Hermitian basis.
+_GELL_MANN = np.concatenate([_off_diagonal_generators(3),
+                             [np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0]) / np.sqrt(3.0)]])
 
 
 @dataclass(frozen=True)
@@ -65,8 +79,11 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grid_points < 2 or self.refine_iters < 1 or self.restarts < 1:
-            raise ValueError(f"need grid_points >= 2, refine_iters >= 1, restarts >= 1: {self}")
+        low = {"grid_points": 2, "refine_iters": 1, "restarts": 1, "seed": 0}
+        bad = [f"{k}={getattr(self, k)}" for k, v in low.items() if getattr(self, k) < v]
+        if bad:
+            raise ValueError(f"need grid_points >= 2, refine_iters >= 1, restarts >= 1, seed >= 0;"
+                             f" got {', '.join(bad)}")
 
 
 def _memory_entropies(rhos) -> np.ndarray:
@@ -91,6 +108,105 @@ def holevo_quantity(rho: DensityMatrix, meas: ProjectiveMeasurement) -> float:
     return float(_holevo(_memory_entropies([rho])[0], mu))
 
 
+def _expi(h: np.ndarray) -> np.ndarray:
+    """exp(i h) for Hermitian matrices h (..., d, d)."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def _basis_projectors(u: np.ndarray) -> np.ndarray:
+    """Projectors (..., K, d, d) onto the K columns of the bases u (..., d, K)."""
+    cols = np.swapaxes(u, -1, -2)  # row k is column k of u
+    return cols[..., :, :, None] * cols.conj()[..., :, None, :]
+
+
+class _Frame:
+    """Moves U -> U exp(i sum c_k T_k) of a basis U of C^d along P = d(d-1) generators T_k.
+
+    The generators are the off-diagonal ones, the directions that change the
+    measurement; the diagonal ones only rephase its columns. The stencil is the
+    1 + 2P^2 offsets exp(i sum c_k T_k) of the central differences with spacing
+    NEWTON_H: the centre, +-h e_k, and the four corners (+-h, +-h) of every pair.
+    """
+
+    def __init__(self, d: int):
+        self.generators = _off_diagonal_generators(d)
+        p = len(self.generators)
+        eye = np.eye(p)
+        self.pairs = np.triu_indices(p, 1)
+        k, l = self.pairs
+        corners = [a * eye[k] + b * eye[l] for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+        offsets = np.concatenate([np.zeros((1, p)), eye, -eye, *corners])
+        self.stencil = self.moves(NEWTON_H * offsets)
+
+    def moves(self, c: np.ndarray) -> np.ndarray:
+        """exp(i sum c_k T_k) for frame coordinates c (..., P)."""
+        return _expi(np.tensordot(c, self.generators, axes=1))
+
+    def newton_step(self, f: np.ndarray):
+        """The Levenberg-shifted Newton step s (..., P) from stencil values f (..., 1 + 2P^2).
+
+        Central differences give the gradient g and Hessian H. The step is
+        (mu - H)^-1 g, cut to MAX_MOVE long: mu = 0 where H is negative
+        definite, so that a weakly curved ridge still gets its full Newton
+        step; elsewhere mu shifts every curvature to at most -1e-3 of the
+        largest. Returns s and the gain g.s + s.H.s / 2 the quadratic model
+        promises for it.
+        """
+        p, h = len(self.generators), NEWTON_H
+        f0, fp, fm = f[..., :1], f[..., 1:1 + p], f[..., 1 + p:1 + 2 * p]
+        q = f[..., 1 + 2 * p:].reshape(f.shape[:-1] + (4, -1))
+        g = (fp - fm) / (2.0 * h)
+        hess = np.zeros(f.shape[:-1] + (p, p))
+        k, l = self.pairs
+        mixed = (q[..., 0, :] - q[..., 1, :] - q[..., 2, :] + q[..., 3, :]) / (4.0 * h * h)
+        hess[..., k, l] = hess[..., l, k] = mixed
+        hess[..., range(p), range(p)] = (fp - 2.0 * f0 + fm) / (h * h)
+        w, v = np.linalg.eigh(hess)
+        top, widest = w[..., -1], np.abs(w).max(axis=-1)
+        mu = np.where(top < 0.0, 0.0, top + 1e-3 * widest + 1e-12)
+        along = (g[..., None, :] @ v)[..., 0, :] / (mu[..., None] - w)  # eigenbasis components
+        step = (v @ along[..., None])[..., 0]
+        norm = np.linalg.norm(step, axis=-1, keepdims=True)
+        step = step * np.minimum(1.0, MAX_MOVE / np.maximum(norm, 1e-300))
+        curve = (step[..., None, :] @ hess @ step[..., None])[..., 0, 0]
+        gain = (g * step).sum(axis=-1) + 0.5 * curve
+        return step, gain
+
+
+_FRAMES = {d: _Frame(d) for d in (2, 3)}
+
+
+def _polish(value, u: np.ndarray, fu: np.ndarray, iters: int):
+    """Newton search for the maxima of value from the lanes u (..., d, d), where fu = value at u.
+
+    value maps trial bases (..., T, d, d) to (..., T). Each iteration makes two
+    value calls for all lanes: the stencil of _Frame, then a backtracking line
+    search at LINE_STEPS of the Newton step. A lane moves to its best line
+    point only if that strictly improves on fu. A lane stops for good when it
+    does not improve, or when its step promises less than MIN_GAIN: from the
+    same point it would take the same step again. The search ends when every
+    lane has stopped, or after iters iterations. Each lane makes the same moves
+    as a search of its own. Returns the lanes' bases and values.
+    """
+    frame = _FRAMES[u.shape[-1]]
+    active = np.ones(fu.shape, dtype=bool)
+    for _ in range(iters):
+        step, gain = frame.newton_step(value(u[..., None, :, :] @ frame.stencil))
+        active &= gain >= MIN_GAIN
+        if not active.any():
+            break
+        trial = u[..., None, :, :] @ frame.moves(LINE_STEPS[:, None] * step[..., None, :])
+        f_trial = value(trial)
+        pick = f_trial.argmax(axis=-1)[..., None]
+        best = np.take_along_axis(f_trial, pick, axis=-1)[..., 0]
+        active &= best > fu
+        u = np.where(active[..., None, None],
+                     np.take_along_axis(trial, pick[..., None, None], axis=-3)[..., 0, :, :], u)
+        fu = np.where(active, best, fu)
+    return u, fu
+
+
 def _pattern_search(f, x, fx, step, steps_per_coord: int):
     """Cyclic compass search for the maxima of f from the L rows of x, where fx = f(x).
 
@@ -98,7 +214,7 @@ def _pattern_search(f, x, fx, step, steps_per_coord: int):
     all 2L trials in one f call on a (2, L, P) array. A lane moves to its better
     trial only if that strictly improves on fx[l] (on a tie the + trial wins);
     otherwise it halves h[l, k]. h starts at step for every lane. Each lane makes
-    the same moves as a search of its own. Returns the best value of each lane.
+    the same moves as a search of its own. Returns each lane's best point and value.
     """
     x = np.array(x, dtype=float)
     fx = np.array(fx, dtype=float)
@@ -117,58 +233,72 @@ def _pattern_search(f, x, fx, step, steps_per_coord: int):
         x = np.where(up[:, None], trial[pick, lanes], x)
         fx = np.where(up, best, fx)
         h[~up, k] *= 0.5
-    return fx
+    return x, fx
 
 
-def _search(rhos, projectors, starts: np.ndarray, keep: int, step,
-            steps_per_coord: int) -> np.ndarray:
-    """Maximize the Holevo quantity over the measurements projectors(x) for N states of one dims.
+def _search(rhos, unitary, starts: np.ndarray, keep: int, iters: int, explore: int = 1,
+            step=0.0, steps_per_coord: int = 0):
+    """Maximize the Holevo quantity over the bases unitary(x) for N states of one dims.
 
-    projectors maps parameters (..., P) to rank-1 projectors (..., K, dA, dA).
-    The projectors of the starts (S, P) are built once, and each state scores
-    them with one kernel call. The best keep starts of every state become the
-    N * keep lanes of one _pattern_search, so each step is one kernel call for
-    all states. Every state's gemms have the same shapes whatever N is, so a
-    state's value does not depend on its stack. Returns each state's best value.
+    unitary maps start parameters (..., P) to bases (..., dA, dA), measured
+    along their columns. The starts (S, P) are built once, and each state
+    scores them with one kernel call. The best explore starts of every state
+    are the N * explore lanes of a _pattern_search with steps_per_coord steps,
+    the best keep of those the N * keep lanes of one _polish, so each step of
+    either is one kernel call for all states. Every state's gemms and small
+    LAPACK calls have the same shapes whatever N is, so a state's result does
+    not depend on its stack. Returns each state's best value and its basis.
     """
     n = len(rhos)
     m = branch_matrix(rhos)
     s_b = _memory_entropies(rhos)
-    start_projectors = projectors(starts)
+
+    def value(bases):
+        # bases (N, ..., dA, dA), the state axis first as the kernel wants it
+        s = s_b.reshape((n,) + (1,) * (bases.ndim - 3))
+        return _holevo(s, branch_spectra(m, _basis_projectors(bases)))
+
+    start_projectors = _basis_projectors(unitary(starts))
     scores = np.array([_holevo(s, branch_spectra(mi, start_projectors)) for s, mi in zip(s_b, m)])
-    best = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
+    best = np.argsort(-scores, axis=1, kind="stable")[:, :explore]
+    x, fx = starts[best], np.take_along_axis(scores, best, axis=1)
+    if steps_per_coord:
+        def explored(x):
+            # lanes (2, N * explore, P) are state-major
+            chi = value(unitary(x.reshape(2, n, explore, -1).swapaxes(0, 1)))
+            return chi.swapaxes(0, 1).reshape(2, -1)
 
-    def value(x):
-        # lanes (2, N * keep, P) are state-major; the kernel wants the state axis first
-        x = x.reshape(2, n, keep, -1).swapaxes(0, 1)
-        chi = _holevo(s_b[:, None, None], branch_spectra(m, projectors(x)))
-        return chi.swapaxes(0, 1).reshape(2, n * keep)
-
-    x0 = starts[best].reshape(n * keep, -1)
-    fx0 = np.take_along_axis(scores, best, axis=1).reshape(-1)
-    return _pattern_search(value, x0, fx0, step, steps_per_coord).reshape(n, keep).max(axis=1)
-
-
-def _qubit_projectors(angles: np.ndarray) -> np.ndarray:
-    """Projectors (1 +- n.sigma)/2 for Bloch angles (theta, phi) on the last axis."""
-    theta, phi = angles[..., 0], angles[..., 1]
-    s = np.sin(theta)
-    n = np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1)
-    n_sigma = (n @ _PAULI_ROWS).reshape(n.shape[:-1] + (1, 2, 2))
-    return _HALF_EYE + _HALF_SIGNS * n_sigma
+        x, fx = _pattern_search(explored, x.reshape(n * explore, -1), fx.reshape(-1), step,
+                                steps_per_coord)
+        x, fx = x.reshape(n, explore, -1), fx.reshape(n, explore)
+    lanes = np.argsort(-fx, axis=1, kind="stable")[:, :keep]
+    u, fu = _polish(value, unitary(np.take_along_axis(x, lanes[..., None], axis=1)),
+                    np.take_along_axis(fx, lanes, axis=1), iters)
+    top = fu.argmax(axis=1)
+    return fu[np.arange(n), top], u[np.arange(n), top]
 
 
-def _qutrit_projectors(coeffs: np.ndarray) -> np.ndarray:
-    """Projectors onto the columns of exp(i * sum c_k G_k) for coefficients c on the last axis."""
-    h = (coeffs @ _GELL_MANN.reshape(8, 9)).reshape(coeffs.shape[:-1] + (3, 3))
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    cols = np.swapaxes(u, -1, -2)  # row k is column k of u
-    return cols[..., :, :, None] * cols.conj()[..., :, None, :]
+def _bloch_unitary(angles: np.ndarray) -> np.ndarray:
+    """The basis of the measurement (1 +- n.sigma)/2 for Bloch angles (theta, phi) on the last axis."""
+    c, s = np.cos(angles[..., 0] / 2.0), np.sin(angles[..., 0] / 2.0)
+    e = np.exp(1j * angles[..., 1])
+    rows = [np.stack([c, -e.conj() * s], axis=-1), np.stack([e * s, c], axis=-1)]
+    return np.stack(rows, axis=-2)
+
+
+def _gell_mann_unitary(coeffs: np.ndarray) -> np.ndarray:
+    """exp(i * sum c_k G_k) for Gell-Mann coefficients c on the last axis."""
+    return _expi((coeffs @ _GELL_MANN.reshape(8, 9)).reshape(coeffs.shape[:-1] + (3, 3)))
 
 
 def _search_plan(dA: int, cfg: OptimizerConfig) -> dict:
-    """The keyword arguments of _search for an A side of dimension dA: projectors, starts, steps."""
+    """The keyword arguments of _search for an A side of dimension dA.
+
+    refine_iters sets the effort: a qubit state is polished for at most
+    refine_iters // 30 Newton iterations (6 by default); a qutrit state explores
+    for refine_iters // 33 compass steps per coordinate (6) and polishes for at
+    most refine_iters // 8 iterations (25).
+    """
     if dA == 2:
         # n and -n give the same measurement, so theta stops at the first half of its
         # grid; the pole theta = 0 is one measurement for every phi and is kept once
@@ -176,15 +306,15 @@ def _search_plan(dA: int, cfg: OptimizerConfig) -> dict:
         thetas = np.linspace(0.0, np.pi, g)[: (g + 1) // 2]
         phis = np.linspace(0.0, 2.0 * np.pi, g, endpoint=False)
         grid = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
-        return dict(projectors=_qubit_projectors, starts=np.delete(grid, np.s_[1:g], axis=0),
-                    keep=1, step=(np.pi / (g - 1) / 2, np.pi / g),
-                    steps_per_coord=max(4, cfg.refine_iters // 6))
+        return dict(unitary=_bloch_unitary, starts=np.delete(grid, np.s_[1:g], axis=0),
+                    keep=1, iters=max(3, cfg.refine_iters // 30))
     if dA == 3:
         # the computational-basis start hits the symmetric optima exactly
         rng = np.random.default_rng(cfg.seed)
         starts = np.vstack([np.zeros(8), rng.uniform(-np.pi, np.pi, size=(cfg.restarts - 1, 8))])
-        return dict(projectors=_qutrit_projectors, starts=starts, keep=len(starts),
-                    step=np.pi / 2, steps_per_coord=max(6, cfg.refine_iters // 11))
+        return dict(unitary=_gell_mann_unitary, starts=starts, keep=min(3, len(starts)),
+                    iters=max(3, cfg.refine_iters // 8), explore=len(starts), step=np.pi / 2,
+                    steps_per_coord=max(2, cfg.refine_iters // 33))
     raise ValueError(f"unsupported measured-side dimension dA={dA}; need 2 or 3")
 
 
@@ -197,7 +327,7 @@ def classical_correlations(rhos, cfg: OptimizerConfig | None = None) -> np.ndarr
     if not rhos:
         return np.empty(0)
     plan = _search_plan(rhos[0].dA, cfg or OptimizerConfig())
-    return np.concatenate([_search(rhos[lo:lo + STACK_STATES], **plan)
+    return np.concatenate([_search(rhos[lo:lo + STACK_STATES], **plan)[0]
                            for lo in range(0, len(rhos), STACK_STATES)])
 
 

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,7 +144,7 @@ def test_verify_rejects_bad_dims(capsys):
 
 
 @pytest.mark.parametrize("command", ["scenario", "verify", "info"])
-@pytest.mark.parametrize("flag", [("--grid", "1"), ("--restarts", "0")])
+@pytest.mark.parametrize("flag", [("--grid", "1"), ("--restarts", "0"), ("--seed", "-1")])
 def test_bad_optimizer_flags_are_usage_errors(capsys, command, flag):
     target = {
         "scenario": ["werner-qubit", "--sweep", "0:1:2"],
@@ -153,6 +154,22 @@ def test_bad_optimizer_flags_are_usage_errors(capsys, command, flag):
     code, out, err = run_cli(capsys, command, *target, *flag)
     assert code == 1
     assert err.startswith("usage error:") and out == ""
+
+
+@pytest.mark.parametrize("params, message", [
+    (["c1=0.1", "c1=0.2"], "'c1' given twice"),
+    (["c1=inf"], "'c1' must be finite"),
+    (["c2=nan"], "'c2' must be finite"),
+])
+def test_bad_param_values_are_usage_errors(capsys, params, message):
+    argv = ["scenario", "sudden-transition", "--sweep", "0:1:2"]
+    for p in params:
+        argv += ["--param", p]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("usage error:") and message in err and out == ""
 
 
 def test_info_werner(capsys):

@@ -5,7 +5,11 @@ import pytest
 
 from quncert.correlations import (
     OptimizerConfig,
+    _basis_projectors,
+    _holevo,
+    _memory_entropies,
     _pattern_search,
+    _polish,
     _search,
     _search_plan,
     bell_diagonal_classical_closed,
@@ -16,9 +20,15 @@ from quncert.correlations import (
     discord,
     holevo_quantity,
 )
-from quncert.entropy import ProjectiveMeasurement, mutual_information, von_neumann
+from quncert.entropy import (
+    ProjectiveMeasurement,
+    branch_matrix,
+    branch_spectra,
+    mutual_information,
+    von_neumann,
+)
 from quncert.linalg import PAULI_Z, kron, partial_trace, validate_density
-from quncert.scenarios import random_density
+from quncert.scenarios import ScenarioSpec, random_density, run_scenario
 from quncert.states import bell_diagonal, bell_like, singlet, werner
 
 np_rng = np.random.default_rng(20240803)
@@ -114,6 +124,35 @@ def test_optimizer_matches_closed_form_on_bell_diagonal():
             assert got <= want + 1e-9  # never exceeds the projective optimum
 
 
+def test_unit_coefficient_bell_diagonal_reaches_closed_form():
+    # |c| = 1 gives pure branches at the optimum, where the Newton stencil straddles
+    # the log singularity of the branch entropies
+    triples = [(1.0, -0.6, 0.6), (-1.0, 0.3, 0.3), (0.2, 1.0, -0.2), (0.9, -1.0, 0.9),
+               (0.5, 0.5, -1.0), (1.0, 0.0, 0.0)]
+    rng = np.random.default_rng(20241022)
+    for c1, c2, c3 in triples:
+        rho = bell_diagonal(c1, c2, c3)
+        want = bell_diagonal_classical_closed(c1, c2, c3)
+        states = [rho]
+        for d_b in (2, 3, 4):
+            w = kron(rand_unitary(2, rng), rand_unitary(d_b, rng)[:, :2])
+            states.append(validate_density(w @ rho.mat @ w.conj().T, (2, d_b)))
+        for state in states:
+            assert abs(classical_correlation(state) - want) <= 1e-9
+    # the default sudden-transition sweep starts at c = (1, -0.6, 0.6)
+    row = run_scenario(ScenarioSpec(name="sudden-transition", sweep=(0.0, 0.0, 1)))[0]
+    assert abs(row.report.classical - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("triple", [(0.14, -0.2379, 0.2378995), (0.14, -0.2379, 0.237899),
+                                    (0.3, 0.5, -0.4999995)])
+def test_near_degenerate_bell_diagonal_reaches_closed_form(triple):
+    # two |c_i| equal to 1e-6 make a ridge of nearly equal optima whose curvature
+    # along the ridge is about 1e-6 of the curvature across it
+    got = classical_correlation(bell_diagonal(*triple))
+    assert abs(got - bell_diagonal_classical_closed(*triple)) <= 1e-12
+
+
 def test_pattern_search_lanes_match_one_lane_searches():
     # a tie lane (constant), an interior peak, a monotone lane and a wiggly one
     peaks = [(0.0, 0.0), (0.3, -0.2), (5.0, 1.0), (-0.7, 0.4)]
@@ -133,21 +172,60 @@ def test_pattern_search_lanes_match_one_lane_searches():
             return np.array([[value(l, p) for l, p in zip(idx, row.tolist())] for row in x])
 
         fx = np.array([value(l, p) for l, p in zip(idx, x0[idx].tolist())])
-        best = _pattern_search(f, x0[idx], fx, (0.5, 0.25), steps_per_coord)
-        return best, np.array(trials).reshape(-1, 2, len(idx), 2)
+        point, best = _pattern_search(f, x0[idx], fx, (0.5, 0.25), steps_per_coord)
+        return point, best, np.array(trials).reshape(-1, 2, len(idx), 2)
 
     for steps_per_coord in (0, 1, 10):
-        best_all, trials_all = run([0, 1, 2, 3], steps_per_coord)
+        point_all, best_all, trials_all = run([0, 1, 2, 3], steps_per_coord)
         assert len(trials_all) == 2 * steps_per_coord
         for l in range(4):
-            best_one, trials_one = run([l], steps_per_coord)
+            point_one, best_one, trials_one = run([l], steps_per_coord)
             assert best_all[l] == best_one[0]
+            assert np.array_equal(point_all[l], point_one[0])
             assert np.array_equal(trials_all[:, :, l], trials_one[:, :, 0])
 
 
-@pytest.mark.parametrize("d_b, i", [(d_b, i) for d_b in (2, 3, 4) for i in range(3)] + [(4, 14)])
+def test_newton_lanes_match_one_lane_searches():
+    # each lane searches its own state (a flat product state, a pure state and HS-random
+    # states) from a random basis, so the lanes stop after different numbers of iterations
+    rng = np.random.default_rng(20241020)
+    for dims in ((2, 3), (3, 2)):
+        d_a = dims[0]
+        states = [validate_density(kron(np.diag(rng.dirichlet(np.ones(d_a))),
+                                        random_density(rng, (dims[1], 1)).mat), dims),
+                  stack_corpus(dims, rng)[0]]
+        states += [random_density(rng, dims) for _ in range(3)]
+        u0 = np.array([rand_unitary(d_a, rng) for _ in states])
+
+        def run(idx):
+            m = branch_matrix([states[i] for i in idx])
+            s_b = _memory_entropies([states[i] for i in idx])[:, None]
+            trials = []
+
+            def value(bases):
+                trials.append(bases.copy())
+                return _holevo(s_b, branch_spectra(m, _basis_projectors(bases)))
+
+            fu0 = value(u0[idx, None])[:, 0]
+            u, fu = _polish(value, u0[idx], fu0, iters=12)
+            return u, fu, trials[1:]
+
+        idx = list(range(len(states)))
+        u_all, fu_all, trials_all = run(idx)
+        lengths = []
+        for l in idx:
+            u_one, fu_one, trials_one = run([l])
+            assert fu_all[l] == fu_one[0]
+            assert np.array_equal(u_all[l], u_one[0])
+            assert all(np.array_equal(a[0], b[l]) for a, b in zip(trials_one, trials_all))
+            lengths.append(len(trials_one))
+        assert len(set(lengths)) > 1 and max(lengths) == len(trials_all)
+
+
+@pytest.mark.parametrize("d_b, i",
+                         [(d_b, i) for d_b in (2, 3, 4) for i in range(3)] + [(4, 14), (2, 41)])
 def test_qubit_search_reaches_high_effort_optimum(d_b, i):
-    # (4, 14) lies on a curved ridge that a coordinate search climbs slowly
+    # (4, 14) and (2, 41) lie on curved ridges that a coordinate search climbs slowly
     rho = random_density(np.random.default_rng((12345, 2, d_b, i)), (2, d_b))
     high = classical_correlation(rho, OptimizerConfig(grid_points=256, refine_iters=2000))
     assert classical_correlation(rho) >= high - 1e-9
@@ -155,14 +233,18 @@ def test_qubit_search_reaches_high_effort_optimum(d_b, i):
 
 @pytest.mark.parametrize("d_b", [2, 3, 4])
 def test_qutrit_lock_step_equals_each_start_refined_alone(d_b):
+    # every start is explored; the keep best explored starts are polished
     cfg = OptimizerConfig()
     for i in range(2):
         rho = random_density(np.random.default_rng((20241018, d_b, i)), (3, d_b))
         plan = _search_plan(3, cfg)
-        starts = plan.pop("starts")
-        plan["keep"] = 1
-        alone = [_search([rho], starts=starts[k:k + 1], **plan)[0] for k in range(len(starts))]
-        assert classical_correlation(rho, cfg) == max(alone)
+        starts, keep = plan.pop("starts"), plan.pop("keep")
+        plan.update(explore=1)
+        alone = [_search([rho], starts=starts[k:k + 1], keep=1, **plan) for k in range(len(starts))]
+        explored = [_search([rho], starts=starts[k:k + 1], keep=1, **dict(plan, iters=0))[0][0]
+                    for k in range(len(starts))]
+        kept = np.argsort(-np.array(explored), kind="stable")[:keep]
+        assert classical_correlation(rho, cfg) == max(alone[k][0][0] for k in kept)
 
 
 def stack_corpus(dims, rng):
@@ -189,6 +271,15 @@ def test_stacked_search_equals_one_state_search(dims):
     assert stacked.tolist() == [classical_correlation(rho) for rho in states]
     # the order of a stack does not matter either
     assert classical_correlations(states[::-1]).tolist() == stacked[::-1].tolist()
+
+
+@pytest.mark.parametrize("dims", [(d_a, d_b) for d_a in (2, 3) for d_b in (1, 2, 3, 4)])
+def test_search_basis_certifies_its_value(dims):
+    states = stack_corpus(dims, np.random.default_rng((20241021,) + dims))
+    values, bases = _search(states, **_search_plan(dims[0], OptimizerConfig()))
+    assert values.tolist() == classical_correlations(states).tolist()
+    for rho, j, u in zip(states, values, bases):
+        assert abs(holevo_quantity(rho, ProjectiveMeasurement.from_basis(u)) - j) <= 1e-12
 
 
 def test_optimizer_grid_convergence():
