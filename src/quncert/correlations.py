@@ -21,17 +21,16 @@ so :func:`classical_correlations` over a sweep equals
 For a qubit A the starts are a Bloch-angle grid that lists each measurement
 once (n and -n are the same measurement, so theta covers only the first half
 of its range, and the pole theta = 0 appears once, at phi = 0), and the best
-grid point is polished. For a qutrit A the landscape is not convex: seeded
-starts in eight Gell-Mann coordinates are all explored by a short cyclic
-compass search (the coordinate pattern search of Kolda, Lewis & Torczon, SIAM
-Review 45:385, 2003), and the best three are polished. The returned value is
-a certified lower estimate of the projective optimum: the search also finds
-the basis that attains it.
+grid point is polished. For a qutrit A the landscape is not convex: the
+computational basis and seeded random bases are scored, and the best three
+are polished. The returned value is a certified lower estimate of the
+projective optimum: the search also finds the basis that attains it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +44,13 @@ X_FORM_TOL = 1e-10
 # Most states searched in one lock-step stack; it bounds the lane arrays of long sweeps.
 STACK_STATES = 128
 # Newton polish: stencil spacing, line-search fractions of the step, longest step,
-# and the least gain in bits a step must promise; below it only roundoff is left.
+# the least gain in bits a step must promise, and the least spread in bits of the
+# stencil values; below either only roundoff is left.
 NEWTON_H = 1e-3
 LINE_STEPS = np.array([1.0, 0.25, 0.0625, 0.015625])
 MAX_MOVE = 0.25
 MIN_GAIN = 1e-15
+MIN_SPREAD = 1e-13
 
 
 def _off_diagonal_generators(d: int) -> np.ndarray:
@@ -63,12 +64,6 @@ def _off_diagonal_generators(d: int) -> np.ndarray:
     return np.array(out)
 
 
-# The qutrit explorer's coordinates: the six off-diagonal generators and the two
-# diagonal Gell-Mann matrices, a traceless Hermitian basis.
-_GELL_MANN = np.concatenate([_off_diagonal_generators(3),
-                             [np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0]) / np.sqrt(3.0)]])
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs for the classical-correlation search; defaults favor accuracy."""
@@ -79,11 +74,14 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        low = {"grid_points": 2, "refine_iters": 1, "restarts": 1, "seed": 0}
-        bad = [f"{k}={getattr(self, k)}" for k, v in low.items() if getattr(self, k) < v]
+        # the ceilings bound memory: one (2, 4) J on a 1024-point grid peaks near 0.5 GB
+        limits = {"grid_points": (2, 1024), "refine_iters": (1, math.inf), "restarts": (1, 4096),
+                  "seed": (0, math.inf)}
+        bad = [f"{k}={getattr(self, k)}" for k, (lo, hi) in limits.items()
+               if not lo <= getattr(self, k) <= hi]
         if bad:
-            raise ValueError(f"need grid_points >= 2, refine_iters >= 1, restarts >= 1, seed >= 0;"
-                             f" got {', '.join(bad)}")
+            raise ValueError(f"need 2 <= grid_points <= 1024, refine_iters >= 1,"
+                             f" 1 <= restarts <= 4096, seed >= 0; got {', '.join(bad)}")
 
 
 def _memory_entropies(rhos) -> np.ndarray:
@@ -184,16 +182,19 @@ def _polish(value, u: np.ndarray, fu: np.ndarray, iters: int):
     value calls for all lanes: the stencil of _Frame, then a backtracking line
     search at LINE_STEPS of the Newton step. A lane moves to its best line
     point only if that strictly improves on fu. A lane stops for good when it
-    does not improve, or when its step promises less than MIN_GAIN: from the
-    same point it would take the same step again. The search ends when every
+    does not improve, when its step promises less than MIN_GAIN (from the
+    same point it would take the same step again), or when its stencil values
+    spread by at most MIN_SPREAD: on so flat a landscape the differences are
+    roundoff, and a step would only chase it. The search ends when every
     lane has stopped, or after iters iterations. Each lane makes the same moves
     as a search of its own. Returns the lanes' bases and values.
     """
     frame = _FRAMES[u.shape[-1]]
     active = np.ones(fu.shape, dtype=bool)
     for _ in range(iters):
-        step, gain = frame.newton_step(value(u[..., None, :, :] @ frame.stencil))
-        active &= gain >= MIN_GAIN
+        f = value(u[..., None, :, :] @ frame.stencil)
+        step, gain = frame.newton_step(f)
+        active &= (gain >= MIN_GAIN) & (np.ptp(f, axis=-1) > MIN_SPREAD)
         if not active.any():
             break
         trial = u[..., None, :, :] @ frame.moves(LINE_STEPS[:, None] * step[..., None, :])
@@ -207,47 +208,15 @@ def _polish(value, u: np.ndarray, fu: np.ndarray, iters: int):
     return u, fu
 
 
-def _pattern_search(f, x, fx, step, steps_per_coord: int):
-    """Cyclic compass search for the maxima of f from the L rows of x, where fx = f(x).
+def _search(rhos, starts: np.ndarray, keep: int, iters: int):
+    """Maximize the Holevo quantity over measurement bases for N states of one dims.
 
-    Step s works on coordinate k = s mod P: every lane l tries x[l] +- h[l, k] e_k,
-    all 2L trials in one f call on a (2, L, P) array. A lane moves to its better
-    trial only if that strictly improves on fx[l] (on a tie the + trial wins);
-    otherwise it halves h[l, k]. h starts at step for every lane. Each lane makes
-    the same moves as a search of its own. Returns each lane's best point and value.
-    """
-    x = np.array(x, dtype=float)
-    fx = np.array(fx, dtype=float)
-    n_lanes, n_coords = x.shape
-    h = np.full(x.shape, step, dtype=float)
-    lanes = np.arange(n_lanes)
-    signs = np.array([1.0, -1.0])[:, None, None]
-    axes = np.eye(n_coords)
-    for s in range(steps_per_coord * n_coords):
-        k = s % n_coords
-        trial = x + signs * (h[:, k, None] * axes[k])
-        f_trial = f(trial)
-        pick = f_trial.argmax(axis=0)
-        best = f_trial[pick, lanes]
-        up = best > fx
-        x = np.where(up[:, None], trial[pick, lanes], x)
-        fx = np.where(up, best, fx)
-        h[~up, k] *= 0.5
-    return x, fx
-
-
-def _search(rhos, unitary, starts: np.ndarray, keep: int, iters: int, explore: int = 1,
-            step=0.0, steps_per_coord: int = 0):
-    """Maximize the Holevo quantity over the bases unitary(x) for N states of one dims.
-
-    unitary maps start parameters (..., P) to bases (..., dA, dA), measured
-    along their columns. The starts (S, P) are built once, and each state
-    scores them with one kernel call. The best explore starts of every state
-    are the N * explore lanes of a _pattern_search with steps_per_coord steps,
-    the best keep of those the N * keep lanes of one _polish, so each step of
-    either is one kernel call for all states. Every state's gemms and small
-    LAPACK calls have the same shapes whatever N is, so a state's result does
-    not depend on its stack. Returns each state's best value and its basis.
+    The start bases (S, dA, dA) are measured along their columns, and each
+    state scores them with one kernel call. The keep best starts of every
+    state are the N * keep lanes of one _polish, so each of its steps is one
+    kernel call for all states. Every state's gemms and small LAPACK calls
+    have the same shapes whatever N is, so a state's result does not depend on
+    its stack. Returns each state's best value and its basis.
     """
     n = len(rhos)
     m = branch_matrix(rhos)
@@ -258,46 +227,32 @@ def _search(rhos, unitary, starts: np.ndarray, keep: int, iters: int, explore: i
         s = s_b.reshape((n,) + (1,) * (bases.ndim - 3))
         return _holevo(s, branch_spectra(m, _basis_projectors(bases)))
 
-    start_projectors = _basis_projectors(unitary(starts))
+    start_projectors = _basis_projectors(starts)
     scores = np.array([_holevo(s, branch_spectra(mi, start_projectors)) for s, mi in zip(s_b, m)])
-    best = np.argsort(-scores, axis=1, kind="stable")[:, :explore]
-    x, fx = starts[best], np.take_along_axis(scores, best, axis=1)
-    if steps_per_coord:
-        def explored(x):
-            # lanes (2, N * explore, P) are state-major
-            chi = value(unitary(x.reshape(2, n, explore, -1).swapaxes(0, 1)))
-            return chi.swapaxes(0, 1).reshape(2, -1)
-
-        x, fx = _pattern_search(explored, x.reshape(n * explore, -1), fx.reshape(-1), step,
-                                steps_per_coord)
-        x, fx = x.reshape(n, explore, -1), fx.reshape(n, explore)
-    lanes = np.argsort(-fx, axis=1, kind="stable")[:, :keep]
-    u, fu = _polish(value, unitary(np.take_along_axis(x, lanes[..., None], axis=1)),
-                    np.take_along_axis(fx, lanes, axis=1), iters)
+    lanes = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
+    u, fu = _polish(value, starts[lanes], np.take_along_axis(scores, lanes, axis=1), iters)
     top = fu.argmax(axis=1)
     return fu[np.arange(n), top], u[np.arange(n), top]
 
 
 def _bloch_unitary(angles: np.ndarray) -> np.ndarray:
-    """The basis of the measurement (1 +- n.sigma)/2 for Bloch angles (theta, phi) on the last axis."""
+    """The basis of the measurement (1 +- n.sigma)/2 for Bloch angles (theta, phi) on the last axis.
+
+    It is the closed form of the qubit frame's moves, and builds the grid of
+    starts far faster than their eigendecompositions.
+    """
     c, s = np.cos(angles[..., 0] / 2.0), np.sin(angles[..., 0] / 2.0)
     e = np.exp(1j * angles[..., 1])
     rows = [np.stack([c, -e.conj() * s], axis=-1), np.stack([e * s, c], axis=-1)]
     return np.stack(rows, axis=-2)
 
 
-def _gell_mann_unitary(coeffs: np.ndarray) -> np.ndarray:
-    """exp(i * sum c_k G_k) for Gell-Mann coefficients c on the last axis."""
-    return _expi((coeffs @ _GELL_MANN.reshape(8, 9)).reshape(coeffs.shape[:-1] + (3, 3)))
-
-
 def _search_plan(dA: int, cfg: OptimizerConfig) -> dict:
     """The keyword arguments of _search for an A side of dimension dA.
 
     refine_iters sets the effort: a qubit state is polished for at most
-    refine_iters // 30 Newton iterations (6 by default); a qutrit state explores
-    for refine_iters // 33 compass steps per coordinate (6) and polishes for at
-    most refine_iters // 8 iterations (25).
+    refine_iters // 30 Newton iterations (6 by default), a qutrit state for at
+    most refine_iters // 8 (25).
     """
     if dA == 2:
         # n and -n give the same measurement, so theta stops at the first half of its
@@ -306,15 +261,14 @@ def _search_plan(dA: int, cfg: OptimizerConfig) -> dict:
         thetas = np.linspace(0.0, np.pi, g)[: (g + 1) // 2]
         phis = np.linspace(0.0, 2.0 * np.pi, g, endpoint=False)
         grid = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
-        return dict(unitary=_bloch_unitary, starts=np.delete(grid, np.s_[1:g], axis=0),
-                    keep=1, iters=max(3, cfg.refine_iters // 30))
+        return dict(starts=_bloch_unitary(np.delete(grid, np.s_[1:g], axis=0)), keep=1,
+                    iters=max(3, cfg.refine_iters // 30))
     if dA == 3:
         # the computational-basis start hits the symmetric optima exactly
         rng = np.random.default_rng(cfg.seed)
-        starts = np.vstack([np.zeros(8), rng.uniform(-np.pi, np.pi, size=(cfg.restarts - 1, 8))])
-        return dict(unitary=_gell_mann_unitary, starts=starts, keep=min(3, len(starts)),
-                    iters=max(3, cfg.refine_iters // 8), explore=len(starts), step=np.pi / 2,
-                    steps_per_coord=max(2, cfg.refine_iters // 33))
+        moved = _FRAMES[3].moves(rng.uniform(-np.pi, np.pi, size=(cfg.restarts - 1, 6)))
+        starts = np.concatenate([np.eye(3, dtype=complex)[None], moved])
+        return dict(starts=starts, keep=min(3, len(starts)), iters=max(3, cfg.refine_iters // 8))
     raise ValueError(f"unsupported measured-side dimension dA={dA}; need 2 or 3")
 
 

@@ -144,7 +144,8 @@ def test_verify_rejects_bad_dims(capsys):
 
 
 @pytest.mark.parametrize("command", ["scenario", "verify", "info"])
-@pytest.mark.parametrize("flag", [("--grid", "1"), ("--restarts", "0"), ("--seed", "-1")])
+@pytest.mark.parametrize("flag", [("--grid", "1"), ("--restarts", "0"), ("--seed", "-1"),
+                                  ("--grid", "1000000"), ("--restarts", "1000000")])
 def test_bad_optimizer_flags_are_usage_errors(capsys, command, flag):
     target = {
         "scenario": ["werner-qubit", "--sweep", "0:1:2"],

@@ -1,14 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
+from quncert import correlations
 from quncert.correlations import (
     OptimizerConfig,
     _basis_projectors,
     _holevo,
     _memory_entropies,
-    _pattern_search,
     _polish,
     _search,
     _search_plan,
@@ -153,38 +151,6 @@ def test_near_degenerate_bell_diagonal_reaches_closed_form(triple):
     assert abs(got - bell_diagonal_classical_closed(*triple)) <= 1e-12
 
 
-def test_pattern_search_lanes_match_one_lane_searches():
-    # a tie lane (constant), an interior peak, a monotone lane and a wiggly one
-    peaks = [(0.0, 0.0), (0.3, -0.2), (5.0, 1.0), (-0.7, 0.4)]
-    waves = [0.0, 0.0, 0.0, 4.0]
-    scale = [0.0, 1.0, 1.0, 1.0]
-    x0 = np.array([[0.1, -0.3], [-0.5, 0.5], [0.0, 0.2], [1.0, -1.0]])
-
-    def value(l, p):
-        bumps = math.sin(waves[l] * p[0]) * math.cos(waves[l] * p[1])
-        return scale[l] * (bumps - (p[0] - peaks[l][0]) ** 2 - (p[1] - peaks[l][1]) ** 2)
-
-    def run(idx, steps_per_coord):
-        trials = []
-
-        def f(x):
-            trials.append(x.copy())
-            return np.array([[value(l, p) for l, p in zip(idx, row.tolist())] for row in x])
-
-        fx = np.array([value(l, p) for l, p in zip(idx, x0[idx].tolist())])
-        point, best = _pattern_search(f, x0[idx], fx, (0.5, 0.25), steps_per_coord)
-        return point, best, np.array(trials).reshape(-1, 2, len(idx), 2)
-
-    for steps_per_coord in (0, 1, 10):
-        point_all, best_all, trials_all = run([0, 1, 2, 3], steps_per_coord)
-        assert len(trials_all) == 2 * steps_per_coord
-        for l in range(4):
-            point_one, best_one, trials_one = run([l], steps_per_coord)
-            assert best_all[l] == best_one[0]
-            assert np.array_equal(point_all[l], point_one[0])
-            assert np.array_equal(trials_all[:, :, l], trials_one[:, :, 0])
-
-
 def test_newton_lanes_match_one_lane_searches():
     # each lane searches its own state (a flat product state, a pure state and HS-random
     # states) from a random basis, so the lanes stop after different numbers of iterations
@@ -233,18 +199,41 @@ def test_qubit_search_reaches_high_effort_optimum(d_b, i):
 
 @pytest.mark.parametrize("d_b", [2, 3, 4])
 def test_qutrit_lock_step_equals_each_start_refined_alone(d_b):
-    # every start is explored; the keep best explored starts are polished
+    # every start is scored once; the keep best-scored starts are polished
     cfg = OptimizerConfig()
+    plan = _search_plan(3, cfg)
+    starts, keep = plan.pop("starts"), plan.pop("keep")
     for i in range(2):
         rho = random_density(np.random.default_rng((20241018, d_b, i)), (3, d_b))
-        plan = _search_plan(3, cfg)
-        starts, keep = plan.pop("starts"), plan.pop("keep")
-        plan.update(explore=1)
-        alone = [_search([rho], starts=starts[k:k + 1], keep=1, **plan) for k in range(len(starts))]
-        explored = [_search([rho], starts=starts[k:k + 1], keep=1, **dict(plan, iters=0))[0][0]
-                    for k in range(len(starts))]
-        kept = np.argsort(-np.array(explored), kind="stable")[:keep]
-        assert classical_correlation(rho, cfg) == max(alone[k][0][0] for k in kept)
+        scored = [_search([rho], starts[k:k + 1], 1, iters=0)[0][0] for k in range(len(starts))]
+        kept = np.argsort(-np.array(scored), kind="stable")[:keep]
+        alone = [_search([rho], starts[k:k + 1], 1, **plan)[0][0] for k in kept]
+        assert classical_correlation(rho, cfg) == max(alone)
+
+
+@pytest.mark.parametrize("d_b, i", [(d_b, i) for d_b in (2, 3, 4) for i in range(3)])
+def test_qutrit_search_reaches_best_of_seeds(d_b, i):
+    rho = random_density(np.random.default_rng((12345, 3, d_b, i)), (3, d_b))
+    best = max(classical_correlation(rho, OptimizerConfig(seed=seed)) for seed in range(4))
+    assert classical_correlation(rho) >= best - 1e-9
+
+
+@pytest.mark.parametrize("dims", [(d_a, d_b) for d_a in (2, 3) for d_b in (1, 2, 3, 4)])
+def test_product_state_search_stops_after_one_stencil(dims, monkeypatch):
+    # J = 0 for every measurement: the stencil's spread is roundoff, so the polish
+    # stops after the scoring call and one stencil call
+    rng = np.random.default_rng((20241023,) + dims)
+    rho = validate_density(kron(random_density(rng, (dims[0], 1)).mat,
+                                random_density(rng, (dims[1], 1)).mat), dims)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return branch_spectra(*args)
+
+    monkeypatch.setattr(correlations, "branch_spectra", counted)
+    assert classical_correlation(rho) <= 1e-12
+    assert len(calls) == 2
 
 
 def stack_corpus(dims, rng):
