@@ -112,7 +112,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     optimizer = _Parser(add_help=False)
     optimizer.add_argument("--seed", type=int, default=0)
-    optimizer.add_argument("--grid", type=int, default=64)
+    optimizer.add_argument("--grid", type=int, default=16)
     optimizer.add_argument("--restarts", type=int, default=8)
 
     sc = sub.add_parser("scenario", parents=[optimizer], help="run a named sweep and emit CSV")

@@ -21,10 +21,12 @@ so :func:`classical_correlations` over a sweep equals
 For a qubit A the starts are a Bloch-angle grid that lists each measurement
 once (n and -n are the same measurement, so theta covers only the first half
 of its range, and the pole theta = 0 appears once, at phi = 0), and the best
-grid point is polished. For a qutrit A the landscape is not convex: the
-computational basis and seeded random bases are scored, and the best three
-are polished. The returned value is a certified lower estimate of the
-projective optimum: the search also finds the basis that attains it.
+3 grid points are polished: an X-state landscape can hold competing maxima at
+the poles and on the equator (Ali, Rau & Alber, PRA 81, 042105, 2010). For a
+qutrit A the landscape is not convex: the computational basis and seeded
+random bases are scored, and the best three are polished. The returned value
+is a certified lower estimate of the projective optimum: the search also finds
+the basis that attains it.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def _off_diagonal_generators(d: int) -> np.ndarray:
 class OptimizerConfig:
     """Knobs for the classical-correlation search; defaults favor accuracy."""
 
-    grid_points: int = 64
+    grid_points: int = 16
     refine_iters: int = 200
     restarts: int = 8
     seed: int = 0
@@ -250,9 +252,10 @@ def _bloch_unitary(angles: np.ndarray) -> np.ndarray:
 def _search_plan(dA: int, cfg: OptimizerConfig) -> dict:
     """The keyword arguments of _search for an A side of dimension dA.
 
-    refine_iters sets the effort: a qubit state is polished for at most
-    refine_iters // 30 Newton iterations (6 by default), a qutrit state for at
-    most refine_iters // 8 (25).
+    Both sides polish their best 3 starts. refine_iters sets the effort: a
+    qubit state is polished for at most refine_iters // 3 Newton iterations
+    (66 by default), a qutrit state for at most refine_iters // 8 (25). Lanes
+    that converge stop on their own, so the qubit cap binds only on flat ridges.
     """
     if dA == 2:
         # n and -n give the same measurement, so theta stops at the first half of its
@@ -261,8 +264,8 @@ def _search_plan(dA: int, cfg: OptimizerConfig) -> dict:
         thetas = np.linspace(0.0, np.pi, g)[: (g + 1) // 2]
         phis = np.linspace(0.0, 2.0 * np.pi, g, endpoint=False)
         grid = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
-        return dict(starts=_bloch_unitary(np.delete(grid, np.s_[1:g], axis=0)), keep=1,
-                    iters=max(3, cfg.refine_iters // 30))
+        return dict(starts=_bloch_unitary(np.delete(grid, np.s_[1:g], axis=0)), keep=3,
+                    iters=max(3, cfg.refine_iters // 3))
     if dA == 3:
         # the computational-basis start hits the symmetric optima exactly
         rng = np.random.default_rng(cfg.seed)

@@ -49,6 +49,11 @@ from .states import (
 )
 
 
+# A sweep holds every state before it evaluates any, so its length bounds memory;
+# the longest default sweep has 600 steps.
+MAX_SWEEP_STEPS = 100_000
+
+
 class ScenarioError(ValueError):
     """Invalid scenario name, sweep, or parameter."""
 
@@ -238,6 +243,8 @@ def run_scenario(spec: ScenarioSpec, cfg: OptimizerConfig | None = None) -> list
     start, stop, steps = spec.sweep or sc.sweep
     if steps < 1 or not (math.isfinite(start) and math.isfinite(stop)) or stop < start:
         raise ScenarioError(f"invalid sweep ({start}, {stop}, {steps})")
+    if steps > MAX_SWEEP_STEPS:
+        raise ScenarioError(f"sweep of {steps} steps; need at most {MAX_SWEEP_STEPS}")
     obs = spec.observables or sc.default_obs()
     xs = [float(x) for x in np.linspace(start, stop, steps)]
     states = []

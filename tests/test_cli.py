@@ -85,6 +85,13 @@ def test_scenario_rejects_bad_sweep(capsys):
     assert "sweep" in err
 
 
+def test_scenario_rejects_sweep_above_step_ceiling(capsys):
+    # rejected before any state is built, so the test allocates nothing
+    code, out, err = run_cli(capsys, "scenario", "werner-qubit", "--sweep", "0:1:100001")
+    assert code == 1
+    assert err.startswith("usage error:") and "100001" in err and out == ""
+
+
 @pytest.mark.parametrize(
     "name",
     [
