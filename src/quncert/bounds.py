@@ -164,10 +164,8 @@ def _check_observables(dA: int, x: Observable, z: Observable):
         )
 
 
-def _report(
-    rho: DensityMatrix, x: Observable, z: Observable, c: float, classical: float
-) -> BoundReport:
-    """The report of one state, given the complementarity c and the classical correlation.
+def _report(rho: DensityMatrix, x: Observable, z: Observable, classical: float) -> BoundReport:
+    """The report of one state and its observables, given the classical correlation.
 
     U_b2 reuses the classical-correlation estimate that enters the discord, so
     D - J = I - 2J stays internally consistent.
@@ -178,6 +176,7 @@ def _report(
     mutual = mutual_information(rho)
     disc = clamp_discord(mutual - classical)
     u = uncertainty_sum(rho, x, z)
+    c = complementarity(x, z)
     u_b1 = float(np.log2(1.0 / c) + s_cond)
     u_b2 = u_b1 + max(0.0, disc - classical)
     u_b3 = 2.0 * s_cond + 2.0 * disc
@@ -206,21 +205,21 @@ def evaluate_bounds(
 ) -> BoundReport:
     """Compute U, the three bounds, and the correlation measures in one pass."""
     _check_observables(rho.dA, x, z)
-    return _report(rho, x, z, complementarity(x, z), classical_correlation(rho, cfg))
+    return _report(rho, x, z, classical_correlation(rho, cfg))
 
 
 def evaluate_bounds_many(
     rhos,
-    x: Observable,
-    z: Observable,
+    xs,
+    zs,
     cfg: OptimizerConfig | None = None,
 ) -> list[BoundReport]:
-    """evaluate_bounds for each state of a sequence, with one lock-step J search.
+    """evaluate_bounds for each state of a sequence and its own observables xs[i], zs[i].
 
-    Each report equals the one evaluate_bounds gives for its state.
+    The states share one lock-step J search. Each report equals the one
+    evaluate_bounds gives for its state and observables.
     """
-    for dA in sorted({rho.dA for rho in rhos}):
-        _check_observables(dA, x, z)
-    c = complementarity(x, z)
+    for rho, x, z in zip(rhos, xs, zs):
+        _check_observables(rho.dA, x, z)
     classical = classical_correlations(rhos, cfg)
-    return [_report(rho, x, z, c, float(j)) for rho, j in zip(rhos, classical)]
+    return [_report(rho, x, z, float(j)) for rho, x, z, j in zip(rhos, xs, zs, classical)]

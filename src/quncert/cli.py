@@ -179,8 +179,11 @@ def _cmd_scenario(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     if bad:

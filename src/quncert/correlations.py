@@ -11,12 +11,12 @@ U exp(i sum c_k T_k), where the T_k are the dA(dA-1) off-diagonal Hermitian
 generators, the directions that change the measurement (a retraction on U(d);
 Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008;
 Abrudan, Eriksson & Koivunen, IEEE TSP 56:1134, 2008). Each Newton iteration
-is two kernel calls for every basis of every state: a central-difference
-stencil for the gradient and Hessian, then a backtracking line search along
-the Levenberg-shifted step. A basis moves only on strict improvement, so the
-value never falls below its start. A state's value is the same in any stack,
-so :func:`classical_correlations` over a sweep equals
-:func:`classical_correlation` state by state.
+is two kernel calls for the bases still searching, of all states: a
+central-difference stencil for the gradient and Hessian, then a backtracking
+line search along the Levenberg-shifted step. A basis moves only on strict
+improvement, so the value never falls below its start. A state's value is the
+same in any stack, so :func:`classical_correlations` over a sweep or a
+``verify`` chunk equals :func:`classical_correlation` state by state.
 
 For a qubit A the starts are a Bloch-angle grid that lists each measurement
 once (n and -n are the same measurement, so theta covers only the first half
@@ -178,35 +178,39 @@ _FRAMES = {d: _Frame(d) for d in (2, 3)}
 
 
 def _polish(value, u: np.ndarray, fu: np.ndarray, iters: int):
-    """Newton search for the maxima of value from the lanes u (..., d, d), where fu = value at u.
+    """Newton search for the maxima of value from the lanes u (L, d, d), where fu = value at u.
 
-    value maps trial bases (..., T, d, d) to (..., T). Each iteration makes two
-    value calls for all lanes: the stencil of _Frame, then a backtracking line
-    search at LINE_STEPS of the Newton step. A lane moves to its best line
-    point only if that strictly improves on fu. A lane stops for good when it
-    does not improve, when its step promises less than MIN_GAIN (from the
-    same point it would take the same step again), or when its stencil values
-    spread by at most MIN_SPREAD: on so flat a landscape the differences are
-    roundoff, and a step would only chase it. The search ends when every
-    lane has stopped, or after iters iterations. Each lane makes the same moves
-    as a search of its own. Returns the lanes' bases and values.
+    value(bases, lanes) maps trial bases (M, T, d, d) of the M lanes indexed by
+    lanes to (M, T). Each iteration makes two value calls for the lanes still
+    searching: the stencil of _Frame, then a backtracking line search at
+    LINE_STEPS of the Newton step. A lane moves to its best line point only if
+    that strictly improves on fu. A lane stops for good, and leaves the calls,
+    when it does not improve, when its step promises less than MIN_GAIN (from
+    the same point it would take the same step again), or when its stencil
+    values spread by at most MIN_SPREAD: on so flat a landscape the
+    differences are roundoff, and a step would only chase it. The search ends
+    when every lane has stopped, or after iters iterations. Each lane makes
+    the same moves as a search of its own. Returns the lanes' bases and values.
     """
     frame = _FRAMES[u.shape[-1]]
-    active = np.ones(fu.shape, dtype=bool)
+    u, fu = u.copy(), fu.copy()
+    live = np.arange(len(fu))
     for _ in range(iters):
-        f = value(u[..., None, :, :] @ frame.stencil)
+        f = value(u[live, None] @ frame.stencil, live)
         step, gain = frame.newton_step(f)
-        active &= (gain >= MIN_GAIN) & (np.ptp(f, axis=-1) > MIN_SPREAD)
-        if not active.any():
+        go = (gain >= MIN_GAIN) & (np.ptp(f, axis=-1) > MIN_SPREAD)
+        live, step = live[go], step[go]
+        if not live.size:
             break
-        trial = u[..., None, :, :] @ frame.moves(LINE_STEPS[:, None] * step[..., None, :])
-        f_trial = value(trial)
-        pick = f_trial.argmax(axis=-1)[..., None]
-        best = np.take_along_axis(f_trial, pick, axis=-1)[..., 0]
-        active &= best > fu
-        u = np.where(active[..., None, None],
-                     np.take_along_axis(trial, pick[..., None, None], axis=-3)[..., 0, :, :], u)
-        fu = np.where(active, best, fu)
+        trial = u[live, None] @ frame.moves(LINE_STEPS[:, None] * step[:, None, :])
+        f_trial = value(trial, live)
+        pick = f_trial.argmax(axis=-1)
+        best = f_trial[np.arange(len(live)), pick]
+        up = best > fu[live]
+        live = live[up]
+        u[live], fu[live] = trial[up, pick[up]], best[up]
+        if not live.size:
+            break
     return u, fu
 
 
@@ -214,25 +218,28 @@ def _search(rhos, starts: np.ndarray, keep: int, iters: int):
     """Maximize the Holevo quantity over measurement bases for N states of one dims.
 
     The start bases (S, dA, dA) are measured along their columns, and each
-    state scores them with one kernel call. The keep best starts of every
-    state are the N * keep lanes of one _polish, so each of its steps is one
-    kernel call for all states. Every state's gemms and small LAPACK calls
-    have the same shapes whatever N is, so a state's result does not depend on
-    its stack. Returns each state's best value and its basis.
+    state scores them with one kernel call. The best min(keep, S) starts of
+    every state are lanes of one _polish, each knowing its state. Each lane's
+    gemm and small LAPACK calls have the same shapes whatever the other lanes
+    are, so a state's result does not depend on its stack. Returns each
+    state's best value and its basis.
     """
     n = len(rhos)
     m = branch_matrix(rhos)
     s_b = _memory_entropies(rhos)
-
-    def value(bases):
-        # bases (N, ..., dA, dA), the state axis first as the kernel wants it
-        s = s_b.reshape((n,) + (1,) * (bases.ndim - 3))
-        return _holevo(s, branch_spectra(m, _basis_projectors(bases)))
-
     start_projectors = _basis_projectors(starts)
     scores = np.array([_holevo(s, branch_spectra(mi, start_projectors)) for s, mi in zip(s_b, m)])
-    lanes = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
-    u, fu = _polish(value, starts[lanes], np.take_along_axis(scores, lanes, axis=1), iters)
+    best = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
+    state = np.repeat(np.arange(n), best.shape[1])
+
+    def value(bases, lanes):
+        # one gemm per lane, against the branch matrix of the lane's state
+        own = state[lanes]
+        return _holevo(s_b[own, None], branch_spectra(m[own], _basis_projectors(bases)))
+
+    f0 = np.take_along_axis(scores, best, axis=1).ravel()
+    u, fu = _polish(value, starts[best.ravel()], f0, iters)
+    fu, u = fu.reshape(n, -1), u.reshape(n, -1, *starts.shape[1:])
     top = fu.argmax(axis=1)
     return fu[np.arange(n), top], u[np.arange(n), top]
 
@@ -252,10 +259,11 @@ def _bloch_unitary(angles: np.ndarray) -> np.ndarray:
 def _search_plan(dA: int, cfg: OptimizerConfig) -> dict:
     """The keyword arguments of _search for an A side of dimension dA.
 
-    Both sides polish their best 3 starts. refine_iters sets the effort: a
-    qubit state is polished for at most refine_iters // 3 Newton iterations
-    (66 by default), a qutrit state for at most refine_iters // 8 (25). Lanes
-    that converge stop on their own, so the qubit cap binds only on flat ridges.
+    Both sides polish their best 3 starts, or all if there are fewer.
+    refine_iters sets the effort: a qubit state is polished for at most
+    refine_iters // 3 Newton iterations (66 by default), a qutrit state for at
+    most refine_iters // 8 (25). Lanes that converge stop on their own, so the
+    qubit cap binds only on flat ridges.
     """
     if dA == 2:
         # n and -n give the same measurement, so theta stops at the first half of its
@@ -271,7 +279,7 @@ def _search_plan(dA: int, cfg: OptimizerConfig) -> dict:
         rng = np.random.default_rng(cfg.seed)
         moved = _FRAMES[3].moves(rng.uniform(-np.pi, np.pi, size=(cfg.restarts - 1, 6)))
         starts = np.concatenate([np.eye(3, dtype=complex)[None], moved])
-        return dict(starts=starts, keep=min(3, len(starts)), iters=max(3, cfg.refine_iters // 8))
+        return dict(starts=starts, keep=3, iters=max(3, cfg.refine_iters // 8))
     raise ValueError(f"unsupported measured-side dimension dA={dA}; need 2 or 3")
 
 

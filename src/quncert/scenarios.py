@@ -5,8 +5,9 @@ Every sweep row is a full bound evaluation; rows are deterministic for a
 fixed seed and are checked against the bound inequalities before they are
 emitted. A sweep builds all of its states first and then evaluates them with
 one :func:`quncert.bounds.evaluate_bounds_many` call, whose lock-step J search
-gives every row the value its state gets alone. The verifier evaluates one
-state at a time, since each of its states has its own observables.
+gives every row the value its state gets alone. The verifier draws its states
+and their own observables in chunks of ``STACK_STATES`` and evaluates each
+chunk with one such call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .bounds import (
     BOUND_TOL_OPT,
     BoundReport,
     Observable,
-    evaluate_bounds,
     evaluate_bounds_many,
     observable_measurement,
     single_system_bound,
@@ -36,7 +36,7 @@ from .channels import (
     dephased_bell_diagonal,
     random_field_state,
 )
-from .correlations import OptimizerConfig
+from .correlations import STACK_STATES, OptimizerConfig
 from .linalg import DensityMatrix, partial_trace, validate_density
 from .observables import bundled_observable, pauli_observable, su3_pair
 from .states import (
@@ -234,7 +234,6 @@ def run_scenario(spec: ScenarioSpec, cfg: OptimizerConfig | None = None) -> list
     if spec.name not in _REGISTRY:
         raise ScenarioError(f"unknown scenario {spec.name!r}; choose from {', '.join(SCENARIO_NAMES)}")
     sc = _REGISTRY[spec.name]
-    cfg = cfg or OptimizerConfig()
     params = dict(sc.params)
     for key, value in spec.params.items():
         if key not in params:
@@ -253,7 +252,7 @@ def run_scenario(spec: ScenarioSpec, cfg: OptimizerConfig | None = None) -> list
             states.append(sc.build(x, params))
         except ValueError as exc:
             raise ScenarioError(f"{spec.name} at {sc.sweep_label}={x:g}: {exc}") from None
-    reports = evaluate_bounds_many(states, obs[0], obs[1], cfg)
+    reports = evaluate_bounds_many(states, [obs[0]] * steps, [obs[1]] * steps, cfg)
     return [TimeSeriesRow(x=x, report=report) for x, report in zip(xs, reports)]
 
 
@@ -302,8 +301,9 @@ def verify(
 
     Random states are paired with random non-degenerate observables; per-state
     RNG streams derive from (seed, index) so any evaluation order gives the
-    same result. The single-system check tests H(X) + H(Z) >= 2*S(A) on the
-    reduced state of A.
+    same result. The states go in chunks of STACK_STATES, one
+    evaluate_bounds_many call each. The single-system check tests
+    H(X) + H(Z) >= 2*S(A) on the reduced state of A.
     """
     dA, dB = dims
     if dA not in (2, 3):
@@ -312,44 +312,33 @@ def verify(
         raise ScenarioError(f"unsupported memory dimension dB={dB}")
     if n_states < 0:
         raise ScenarioError(f"n_states must be non-negative, got {n_states}")
-    cfg = cfg or OptimizerConfig()
     opt_tol = BOUND_TOL_OPT if dA == 2 else 1e-3
     tolerances = {"U_b1": BOUND_TOL, "U_b2": opt_tol, "U_b3": opt_tol, "single": BOUND_TOL}
     slacks = {k: np.inf for k in tolerances}
     violations: list[str] = []
     worst: np.ndarray | None = None
     worst_slack = np.inf
-    for index in range(n_states):
-        rng = np.random.default_rng((seed, index))
-        rho = random_density(rng, dims)
-        x = random_observable(rng, dA)
-        z = random_observable(rng, dA)
-        report = evaluate_bounds(rho, x, z, cfg)
-        here = {
-            "U_b1": report.U - report.U_b1,
-            "U_b2": report.U - report.U_b2,
-            "U_b3": report.U - report.U_b3,
-        }
-        rho_a = partial_trace(rho, "A")
-        here["single"] = uncertainty_sum(rho_a, x, z) - single_system_bound(
-            rho_a, observable_measurement(x), observable_measurement(z)
-        )
-        for key, slack in here.items():
-            slacks[key] = min(slacks[key], slack)
-            if slack < -tolerances[key]:
-                violations.append(f"state {index}: {key} violated by {-slack:.3e}")
-                if slack < worst_slack:
-                    worst_slack = slack
-                    worst = rho.mat
-    return VerifyResult(
-        n_states=n_states,
-        dims=dims,
-        seed=seed,
-        min_slacks=slacks,
-        tolerances=tolerances,
-        violations=violations,
-        worst_state=worst,
-    )
+    for lo in range(0, n_states, STACK_STATES):
+        chunk = range(lo, min(lo + STACK_STATES, n_states))
+        rngs = [np.random.default_rng((seed, index)) for index in chunk]
+        rhos = [random_density(rng, dims) for rng in rngs]
+        xs = [random_observable(rng, dA) for rng in rngs]
+        zs = [random_observable(rng, dA) for rng in rngs]
+        reports = evaluate_bounds_many(rhos, xs, zs, cfg)
+        for index, rho, x, z, r in zip(chunk, rhos, xs, zs, reports):
+            rho_a = partial_trace(rho, "A")
+            here = {"U_b1": r.U - r.U_b1, "U_b2": r.U - r.U_b2, "U_b3": r.U - r.U_b3,
+                    "single": uncertainty_sum(rho_a, x, z) - single_system_bound(
+                        rho_a, observable_measurement(x), observable_measurement(z))}
+            for key, slack in here.items():
+                slacks[key] = min(slacks[key], slack)
+                if slack < -tolerances[key]:
+                    violations.append(f"state {index}: {key} violated by {-slack:.3e}")
+                    if slack < worst_slack:
+                        worst_slack = slack
+                        worst = rho.mat
+    return VerifyResult(n_states=n_states, dims=dims, seed=seed, min_slacks=slacks,
+                        tolerances=tolerances, violations=violations, worst_state=worst)
 
 
 # ---------------------------------------------------------------------------

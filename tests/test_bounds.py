@@ -3,8 +3,10 @@ import pytest
 
 from quncert.bounds import (
     Observable,
+    ObservableDimensionError,
     complementarity,
     evaluate_bounds,
+    evaluate_bounds_many,
     single_system_bound,
     observable_measurement,
     uncertainty_sum,
@@ -212,3 +214,20 @@ def test_single_system_bound_fuzz_reduced_states():
             h_sum += float(-np.sum(probs[probs > 0] * np.log2(probs[probs > 0])))
         bound = single_system_bound(rho_a, observable_measurement(x), observable_measurement(z))
         assert h_sum >= bound - 1e-9
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (2, 3), (3, 2)])
+def test_evaluate_bounds_many_takes_each_states_observables(dims):
+    rng = np.random.default_rng((20241025,) + dims)
+    rhos = [random_density(rng, dims) for _ in range(4)]
+    xs = [random_observable(rng, dims[0]) for _ in rhos]
+    zs = [random_observable(rng, dims[0]) for _ in rhos]
+    reports = evaluate_bounds_many(rhos, xs, zs)
+    assert [repr(r) for r in reports] == [repr(evaluate_bounds(*a)) for a in zip(rhos, xs, zs)]
+
+
+def test_evaluate_bounds_many_checks_every_states_observables():
+    rhos = [random_density(np_rng, (2, 2)) for _ in range(3)]
+    xs, zs = [SX, SX, bundled_observable("x2")], [SZ] * 3
+    with pytest.raises(ObservableDimensionError, match="dimensions 3 and 2"):
+        evaluate_bounds_many(rhos, xs, zs)

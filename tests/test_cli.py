@@ -50,6 +50,15 @@ def test_scenario_deterministic_output(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_scenario_unwritable_out_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "scenario", "werner-qubit", "--sweep", "0:1:2",
+                             "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith(f"usage error: cannot write {target}: ") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_scenario_metadata_header(tmp_path):
     out = tmp_path / "c.csv"
     assert main(
@@ -301,6 +310,27 @@ def test_verify_qutrit_side():
     res = verify(10, (3, 3), seed=5, cfg=OptimizerConfig(restarts=8))
     assert res.ok
     assert res.tolerances["U_b2"] == 1e-3
+
+
+def evaluate_one_by_one(rhos, xs, zs, cfg=None):
+    return [evaluate_bounds(rho, x, z, cfg) for rho, x, z in zip(rhos, xs, zs)]
+
+
+@pytest.mark.parametrize("dims, n, stack", [((2, 2), STACK_STATES + 3, STACK_STATES),
+                                            ((3, 2), 8, 3)])
+def test_verify_chunks_equal_per_state_evaluation(monkeypatch, dims, n, stack):
+    # verify's chunks cross a boundary at each dims and must give the result of
+    # evaluating its states one at a time; a negative U_b1 and single tolerance makes
+    # most states violations, so the violation list and worst state are compared too
+    monkeypatch.setattr(scenarios, "STACK_STATES", stack)
+    monkeypatch.setattr(scenarios, "BOUND_TOL", -1.0)
+    stacked = scenarios.verify(n, dims, seed=3)
+    monkeypatch.setattr(scenarios, "evaluate_bounds_many", evaluate_one_by_one)
+    alone = scenarios.verify(n, dims, seed=3)
+    assert stacked.min_slacks == alone.min_slacks
+    assert stacked.violations == alone.violations
+    assert any(v.startswith(f"state {n - 1}:") for v in stacked.violations)
+    assert np.array_equal(stacked.worst_state, alone.worst_state)
 
 
 def test_ad_markov_at_zero_matches_static_state():

@@ -201,28 +201,49 @@ def test_newton_lanes_match_one_lane_searches():
         u0 = np.array([rand_unitary(d_a, rng) for _ in states])
 
         def run(idx):
+            # lane l searches states[idx[l]]; returns its bases, values, every call's
+            # lanes and each lane's trial bases
             m = branch_matrix([states[i] for i in idx])
-            s_b = _memory_entropies([states[i] for i in idx])[:, None]
-            trials = []
+            s_b = _memory_entropies([states[i] for i in idx])
+            calls, trials = [], [[] for _ in idx]
 
-            def value(bases):
-                trials.append(bases.copy())
-                return _holevo(s_b, branch_spectra(m, _basis_projectors(bases)))
+            def value(bases, lanes):
+                calls.append(lanes.tolist())
+                for lane, b in zip(lanes, bases):
+                    trials[lane].append(b.copy())
+                return _holevo(s_b[lanes, None], branch_spectra(m[lanes], _basis_projectors(bases)))
 
-            fu0 = value(u0[idx, None])[:, 0]
+            fu0 = _holevo(s_b[:, None], branch_spectra(m, _basis_projectors(u0[idx, None])))[:, 0]
             u, fu = _polish(value, u0[idx], fu0, iters=12)
-            return u, fu, trials[1:]
+            return u, fu, calls, trials
 
         idx = list(range(len(states)))
-        u_all, fu_all, trials_all = run(idx)
-        lengths = []
+        u_all, fu_all, calls_all, trials_all = run(idx)
         for l in idx:
-            u_one, fu_one, trials_one = run([l])
+            u_one, fu_one, calls_one, trials_one = run([l])
             assert fu_all[l] == fu_one[0]
             assert np.array_equal(u_all[l], u_one[0])
-            assert all(np.array_equal(a[0], b[l]) for a, b in zip(trials_one, trials_all))
-            lengths.append(len(trials_one))
-        assert len(set(lengths)) > 1 and max(lengths) == len(trials_all)
+            assert len(trials_all[l]) == len(trials_one[0])
+            assert all(np.array_equal(a, b) for a, b in zip(trials_all[l], trials_one[0]))
+            # a lane is in every call until it stops, and in none after: as many calls as alone
+            present = [l in lanes for lanes in calls_all]
+            assert present == sorted(present, reverse=True)
+            assert sum(present) == len(calls_one)
+        lengths = [sum(l in lanes for lanes in calls_all) for l in idx]
+        assert len(set(lengths)) > 1 and max(lengths) == len(calls_all)
+
+
+@pytest.mark.parametrize("d_b", [2, 3])
+@pytest.mark.parametrize("d_a, cfg, starts", [(2, OptimizerConfig(grid_points=2), 1),
+                                              (2, OptimizerConfig(grid_points=3), 4),
+                                              (3, OptimizerConfig(restarts=1), 1),
+                                              (3, OptimizerConfig(restarts=2), 2)])
+def test_few_starts_stack_like_one_state(d_a, d_b, cfg, starts):
+    # with fewer starts than the 3 lanes a state keeps, each state polishes them all
+    assert len(_search_plan(d_a, cfg)["starts"]) == starts
+    states = stack_corpus((d_a, d_b), np.random.default_rng((20241024, d_a, d_b)))
+    assert classical_correlations(states, cfg).tolist() == [classical_correlation(rho, cfg)
+                                                            for rho in states]
 
 
 @pytest.mark.parametrize("d_b, i",
