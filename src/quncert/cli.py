@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -143,6 +144,17 @@ def _cfg_from(args) -> OptimizerConfig:
         raise _UsageError(str(exc)) from None
 
 
+def _check_writable(path: str):
+    """Fail on an output path that cannot be written before any work, leaving no new file."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_scenario(args) -> int:
     cfg = _cfg_from(args)
     sweep_default, params_default, notes, sweep_label = scenario_defaults(args.name)
@@ -152,6 +164,8 @@ def _cmd_scenario(args) -> int:
     spec = ScenarioSpec(
         name=args.name, sweep=sweep, params=params, observables=_load_observables(args)
     )
+    if args.out:
+        _check_writable(args.out)
     rows = run_scenario(spec, cfg)
 
     lines = [

@@ -11,10 +11,12 @@ U exp(i sum c_k T_k), where the T_k are the dA(dA-1) off-diagonal Hermitian
 generators, the directions that change the measurement (a retraction on U(d);
 Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008;
 Abrudan, Eriksson & Koivunen, IEEE TSP 56:1134, 2008). Each Newton iteration
-is two kernel calls for the bases still searching, of all states: a
-central-difference stencil for the gradient and Hessian, then a backtracking
-line search along the Levenberg-shifted step. A basis moves only on strict
-improvement, so the value never falls below its start. A state's value is the
+is two calls for the bases still searching, of all states: the exact gradient
+and Hessian in the frame, from one gemm and one ``eigh`` per branch
+(eigenvalue perturbation and the Daleckii-Krein formula), then a backtracking
+line search of the kernel along the shifted Newton step. A basis moves only
+on strict improvement, so the value never falls below its start, and every
+value is the kernel's value at the basis returned. A state's value is the
 same in any stack, so :func:`classical_correlations` over a sweep or a
 ``verify`` chunk equals :func:`classical_correlation` state by state.
 
@@ -31,6 +33,7 @@ the basis that attains it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,14 +48,14 @@ DISCORD_NOISE = 1e-6
 X_FORM_TOL = 1e-10
 # Most states searched in one lock-step stack; it bounds the lane arrays of long sweeps.
 STACK_STATES = 128
-# Newton polish: stencil spacing, line-search fractions of the step, longest step,
-# the least gain in bits a step must promise, and the least spread in bits of the
-# stencil values; below either only roundoff is left.
-NEWTON_H = 1e-3
+# Newton polish: line-search fractions of the step, longest step, and the least
+# gain in bits a step must promise; below it only roundoff is left.
 LINE_STEPS = np.array([1.0, 0.25, 0.0625, 0.015625])
 MAX_MOVE = 0.25
 MIN_GAIN = 1e-15
-MIN_SPREAD = 1e-13
+# The derivatives floor each branch's eigenvalues at this share of its largest,
+# so that a rank-deficient branch gives a large but finite curvature.
+EIG_FLOOR = 1e-10
 
 
 def _off_diagonal_generators(d: int) -> np.ndarray:
@@ -108,12 +111,6 @@ def holevo_quantity(rho: DensityMatrix, meas: ProjectiveMeasurement) -> float:
     return float(_holevo(_memory_entropies([rho])[0], mu))
 
 
-def _expi(h: np.ndarray) -> np.ndarray:
-    """exp(i h) for Hermitian matrices h (..., d, d)."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-
-
 def _basis_projectors(u: np.ndarray) -> np.ndarray:
     """Projectors (..., K, d, d) onto the K columns of the bases u (..., d, K)."""
     cols = np.swapaxes(u, -1, -2)  # row k is column k of u
@@ -124,85 +121,144 @@ class _Frame:
     """Moves U -> U exp(i sum c_k T_k) of a basis U of C^d along P = d(d-1) generators T_k.
 
     The generators are the off-diagonal ones, the directions that change the
-    measurement; the diagonal ones only rephase its columns. The stencil is the
-    1 + 2P^2 offsets exp(i sum c_k T_k) of the central differences with spacing
-    NEWTON_H: the centre, +-h e_k, and the four corners (+-h, +-h) of every pair.
+    measurement; the diagonal ones only rephase its columns. Along c the
+    projector U E_kk U^+ moves as U X U^+, with X = E_kk at c = 0, first
+    derivatives X = i[T_a, E_kk] and second derivatives
+    X = -([T_a, [T_b, E_kk]] + [T_b, [T_a, E_kk]]) / 2 for a <= b. The frame
+    keeps these d (1 + P + P(P+1)/2) operators X as rows of the branch kernel
+    (84 for a qutrit, 12 for a qubit), so one matrix product gives every
+    branch and its derivatives.
     """
 
     def __init__(self, d: int):
-        self.generators = _off_diagonal_generators(d)
-        p = len(self.generators)
-        eye = np.eye(p)
-        self.pairs = np.triu_indices(p, 1)
-        k, l = self.pairs
-        corners = [a * eye[k] + b * eye[l] for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-        offsets = np.concatenate([np.zeros((1, p)), eye, -eye, *corners])
-        self.stencil = self.moves(NEWTON_H * offsets)
+        self.generators = t = _off_diagonal_generators(d)
+        p = len(t)
+        e = np.zeros((d, d, d))
+        e[range(d), range(d), range(d)] = 1.0  # E_kk
 
-    def moves(self, c: np.ndarray) -> np.ndarray:
-        """exp(i sum c_k T_k) for frame coordinates c (..., P)."""
-        return _expi(np.tensordot(c, self.generators, axes=1))
+        def comm(x, y):
+            return x @ y - y @ x
 
-    def newton_step(self, f: np.ndarray):
-        """The Levenberg-shifted Newton step s (..., P) from stencil values f (..., 1 + 2P^2).
+        first = comm(t[:, None], e)  # (P, d, d, d): [T_a, E_kk]
+        a, b = np.triu_indices(p)
+        second = -0.5 * (comm(t[a, None], first[b]) + comm(t[b, None], first[a]))
+        ops = np.swapaxes(np.concatenate([e[None], 1j * first, second]), 0, 1)
+        # row X.T, flattened, gives Tr_A[(X x 1) rho] against a branch matrix (branch_spectra)
+        self.rows = np.swapaxes(ops, -1, -2).reshape(-1, d * d)
+        # spreads the Hessian's entries a <= b over the full (P, P) matrix
+        sym = np.zeros((len(a), p, p))
+        sym[range(len(a)), a, b] = sym[range(len(a)), b, a] = 1.0
+        self.sym = sym.reshape(len(a), p * p)
 
-        Central differences give the gradient g and Hessian H. The step is
-        (mu - H)^-1 g, cut to MAX_MOVE long: mu = 0 where H is negative
-        definite, so that a weakly curved ridge still gets its full Newton
-        step; elsewhere mu shifts every curvature to at most -1e-3 of the
-        largest. Returns s and the gain g.s + s.H.s / 2 the quadratic model
-        promises for it.
+    def moves(self, c: np.ndarray, scales: np.ndarray | None = None) -> np.ndarray:
+        """exp(i sum c_k T_k) (N, d, d) for frame coordinates c (N, P).
+
+        With scales (S,), exp(i s sum c_k T_k) (N, S, d, d) for every s, from
+        one eigendecomposition per row of c.
         """
-        p, h = len(self.generators), NEWTON_H
-        f0, fp, fm = f[..., :1], f[..., 1:1 + p], f[..., 1 + p:1 + 2 * p]
-        q = f[..., 1 + 2 * p:].reshape(f.shape[:-1] + (4, -1))
-        g = (fp - fm) / (2.0 * h)
-        hess = np.zeros(f.shape[:-1] + (p, p))
-        k, l = self.pairs
-        mixed = (q[..., 0, :] - q[..., 1, :] - q[..., 2, :] + q[..., 3, :]) / (4.0 * h * h)
-        hess[..., k, l] = hess[..., l, k] = mixed
-        hess[..., range(p), range(p)] = (fp - 2.0 * f0 + fm) / (h * h)
+        d = self.generators.shape[-1]
+        h = (c @ self.generators.reshape(len(self.generators), d * d)).reshape(len(c), d, d)
+        w, v = np.linalg.eigh(h)
+        if scales is not None:
+            w, v = scales[:, None] * w[:, None, :], v[:, None]
+        return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+    def derivatives(self, m: np.ndarray, u: np.ndarray):
+        """Gradient (L, P) and Hessian (L, P, P) of the Holevo quantity in c at c = 0.
+
+        u (L, d, d) are the lanes' bases and m (L, d*d, dB*dB) the branch
+        matrices of their states. conj(U) x U rotates m to U's frame, one gemm
+        per lane, and the rows give every branch s_k and its derivatives. With
+        s_k = V diag(w) V^+ (its eigenvalues floored at EIG_FLOOR of its
+        largest), p_k = Tr s_k and phi(x) = x log2 x, the Holevo quantity is
+        S(B) + sum_k Tr phi(s_k) - phi(p_k). First-order perturbation gives
+        g_a = sum_k Tr[log2(s_k / p_k) d_a s_k], and the Daleckii-Krein formula
+        (Bhatia, Matrix Analysis, 1997, ch. V) the Hessian
+        sum_k Tr[log2(s_k / p_k) d_ab s_k] + sum_ij G_ij Re(conj(A_a) A_b)_ij,
+        with G_ij the divided differences of phi' = log2 + 1/ln 2 on the w and
+        A_a = V^+ (d_a s_k - s_k d_a p_k / p_k) V; the second term of A_a is
+        the -phi''(p_k) d_a p_k d_b p_k of the outcome entropy.
+        """
+        n, d = u.shape[:2]
+        p, db = len(self.generators), math.isqrt(m.shape[-1])
+        ut = u.swapaxes(1, 2)
+        wt = (ut.conj()[:, :, None, :, None] * ut[:, None, :, None, :]).reshape(n, d * d, d * d)
+        rows = (self.rows @ (wt @ m)).reshape(n, d, -1, db * db)
+        lam, v = np.linalg.eigh(rows[:, :, 0].reshape(n, d, db, db))
+        # the states have unit trace, so an empty branch is floored at EIG_FLOOR ** 2
+        lam = np.maximum(lam, EIG_FLOOR * np.maximum(lam[..., -1:], EIG_FLOOR))
+        prob = lam.sum(axis=-1, keepdims=True)
+        # the derivative rows in the eigenbasis of their branch: V^+ X V, flattened
+        rot = v.conj()[..., :, None, :, None] * v[..., None, :, None, :]
+        hat = rows[:, :, 1:] @ rot.reshape(n, d, db * db, -1)
+        diag = hat[..., :: db + 1].real
+        traced = (diag @ np.log2(lam / prob)[..., None]).sum(axis=1)[..., 0]
+        grad, curve = traced[:, :p], traced[:, p:] @ self.sym
+        # A_a: s_k d_a p_k / p_k is diagonal in V, so it comes off the diagonal of V^+ d_a s_k V
+        first = hat[:, :, :p]
+        dprob = diag[:, :, :p].sum(axis=-1)
+        first.real[..., :: db + 1] -= (dprob / prob)[..., None] * lam[:, :, None]
+        # G_ij = (log2 w_i - log2 w_j) / (w_i - w_j) = 2 atanh(t) / (t (w_i + w_j) ln 2) with
+        # t = (w_i - w_j) / (w_i + w_j), which stays exact as w_i -> w_j
+        total = lam[..., :, None] + lam[..., None, :]
+        t = (lam[..., :, None] - lam[..., None, :]) / total
+        atanh_ratio = np.divide(np.arctanh(t), t, out=np.ones_like(t), where=t != 0.0)
+        scale = np.sqrt(atanh_ratio * (2.0 / math.log(2.0)) / total).reshape(n, 1, d, -1)
+        spread = (scale * first.swapaxes(1, 2)).reshape(n, p, -1)
+        spread = np.concatenate([spread.real, spread.imag], axis=-1)
+        return grad, curve.reshape(n, p, p) + spread @ spread.swapaxes(1, 2)
+
+    @staticmethod
+    def newton_step(g: np.ndarray, hess: np.ndarray):
+        """The shifted Newton step s (L, P) for gradient g and Hessian hess, and its promised gain.
+
+        In the eigenbasis of hess, s moves along each curvature w by
+        g / max(|mu - w|, 1e-8 of the widest curvature + 1e-12), cut to MAX_MOVE long:
+        mu = 0 where the top curvature is below 1e-4 of the widest, so that a
+        weakly curved ridge gets its full Newton step and a nearly flat upward
+        curvature is climbed, not descended; elsewhere mu shifts every
+        curvature to at most -1e-3 of the widest. The gain is the quadratic
+        model's g.s + s.H.s / 2.
+        """
         w, v = np.linalg.eigh(hess)
-        top, widest = w[..., -1], np.abs(w).max(axis=-1)
-        mu = np.where(top < 0.0, 0.0, top + 1e-3 * widest + 1e-12)
-        along = (g[..., None, :] @ v)[..., 0, :] / (mu[..., None] - w)  # eigenbasis components
-        step = (v @ along[..., None])[..., 0]
-        norm = np.linalg.norm(step, axis=-1, keepdims=True)
-        step = step * np.minimum(1.0, MAX_MOVE / np.maximum(norm, 1e-300))
-        curve = (step[..., None, :] @ hess @ step[..., None])[..., 0, 0]
-        gain = (g * step).sum(axis=-1) + 0.5 * curve
-        return step, gain
+        top, widest = w[:, -1:], np.abs(w).max(axis=-1, keepdims=True)
+        mu = np.where(top < 1e-4 * widest, 0.0, top + 1e-3 * widest + 1e-12)
+        g = (g[:, None, :] @ v)[:, 0]  # eigenbasis components
+        s = g / np.maximum(np.abs(mu - w), 1e-8 * widest + 1e-12)
+        s *= MAX_MOVE / np.maximum(np.sqrt((s * s).sum(axis=-1, keepdims=True)), MAX_MOVE)
+        return (v @ s[..., None])[..., 0], (s * (g + 0.5 * w * s)).sum(axis=-1)
 
 
 _FRAMES = {d: _Frame(d) for d in (2, 3)}
 
 
-def _polish(value, u: np.ndarray, fu: np.ndarray, iters: int):
+def _polish(value, derivatives, u: np.ndarray, fu: np.ndarray, iters: int):
     """Newton search for the maxima of value from the lanes u (L, d, d), where fu = value at u.
 
     value(bases, lanes) maps trial bases (M, T, d, d) of the M lanes indexed by
-    lanes to (M, T). Each iteration makes two value calls for the lanes still
-    searching: the stencil of _Frame, then a backtracking line search at
-    LINE_STEPS of the Newton step. A lane moves to its best line point only if
-    that strictly improves on fu. A lane stops for good, and leaves the calls,
-    when it does not improve, when its step promises less than MIN_GAIN (from
-    the same point it would take the same step again), or when its stencil
-    values spread by at most MIN_SPREAD: on so flat a landscape the
-    differences are roundoff, and a step would only chase it. The search ends
-    when every lane has stopped, or after iters iterations. Each lane makes
-    the same moves as a search of its own. Returns the lanes' bases and values.
+    lanes to (M, T), and derivatives(bases, lanes) maps their bases (M, d, d)
+    to the gradient (M, P) and Hessian (M, P, P) of value in the frame of
+    _Frame. Each iteration makes one derivatives call and one value call for
+    the lanes still searching: a backtracking line search at LINE_STEPS of the
+    Newton step. A lane moves to its best line point only if that strictly
+    improves on fu, so every value is one value returned for the basis it
+    returns. A lane stops for good, and leaves both calls, when it does not
+    improve or when its step promises less than MIN_GAIN (from the same point
+    it would take the same step again; on a flat landscape, such as a product
+    state's, the derivatives are roundoff and so is the gain). The search ends
+    when every lane has stopped, or after iters iterations. Each lane makes the
+    same moves as a search of its own. Returns the lanes' bases and values.
     """
     frame = _FRAMES[u.shape[-1]]
     u, fu = u.copy(), fu.copy()
     live = np.arange(len(fu))
     for _ in range(iters):
-        f = value(u[live, None] @ frame.stencil, live)
-        step, gain = frame.newton_step(f)
-        go = (gain >= MIN_GAIN) & (np.ptp(f, axis=-1) > MIN_SPREAD)
+        step, gain = frame.newton_step(*derivatives(u[live], live))
+        go = gain >= MIN_GAIN
         live, step = live[go], step[go]
         if not live.size:
             break
-        trial = u[live, None] @ frame.moves(LINE_STEPS[:, None] * step[:, None, :])
+        trial = u[live, None] @ frame.moves(step, LINE_STEPS)
         f_trial = value(trial, live)
         pick = f_trial.argmax(axis=-1)
         best = f_trial[np.arange(len(live)), pick]
@@ -232,13 +288,18 @@ def _search(rhos, starts: np.ndarray, keep: int, iters: int):
     best = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
     state = np.repeat(np.arange(n), best.shape[1])
 
+    frame = _FRAMES[starts.shape[-1]]
+
     def value(bases, lanes):
         # one gemm per lane, against the branch matrix of the lane's state
         own = state[lanes]
         return _holevo(s_b[own, None], branch_spectra(m[own], _basis_projectors(bases)))
 
+    def derivatives(bases, lanes):
+        return frame.derivatives(m[state[lanes]], bases)
+
     f0 = np.take_along_axis(scores, best, axis=1).ravel()
-    u, fu = _polish(value, starts[best.ravel()], f0, iters)
+    u, fu = _polish(value, derivatives, starts[best.ravel()], f0, iters)
     fu, u = fu.reshape(n, -1), u.reshape(n, -1, *starts.shape[1:])
     top = fu.argmax(axis=1)
     return fu[np.arange(n), top], u[np.arange(n), top]
@@ -256,6 +317,28 @@ def _bloch_unitary(angles: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=-2)
 
 
+@functools.lru_cache(maxsize=4)
+def _starts(dA: int, cfg: OptimizerConfig) -> np.ndarray:
+    """The read-only start bases (S, dA, dA) of an A side of dimension dA, built once per cfg."""
+    if dA == 2:
+        # n and -n give the same measurement, so theta stops at the first half of its
+        # grid; the pole theta = 0 is one measurement for every phi and is kept once
+        g = cfg.grid_points
+        thetas = np.linspace(0.0, np.pi, g)[: (g + 1) // 2]
+        phis = np.linspace(0.0, 2.0 * np.pi, g, endpoint=False)
+        grid = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
+        starts = _bloch_unitary(np.delete(grid, np.s_[1:g], axis=0))
+    elif dA == 3:
+        # the computational-basis start hits the symmetric optima exactly
+        rng = np.random.default_rng(cfg.seed)
+        moved = _FRAMES[3].moves(rng.uniform(-np.pi, np.pi, size=(cfg.restarts - 1, 6)))
+        starts = np.concatenate([np.eye(3, dtype=complex)[None], moved])
+    else:
+        raise ValueError(f"unsupported measured-side dimension dA={dA}; need 2 or 3")
+    starts.setflags(write=False)
+    return starts
+
+
 def _search_plan(dA: int, cfg: OptimizerConfig) -> dict:
     """The keyword arguments of _search for an A side of dimension dA.
 
@@ -265,22 +348,8 @@ def _search_plan(dA: int, cfg: OptimizerConfig) -> dict:
     most refine_iters // 8 (25). Lanes that converge stop on their own, so the
     qubit cap binds only on flat ridges.
     """
-    if dA == 2:
-        # n and -n give the same measurement, so theta stops at the first half of its
-        # grid; the pole theta = 0 is one measurement for every phi and is kept once
-        g = cfg.grid_points
-        thetas = np.linspace(0.0, np.pi, g)[: (g + 1) // 2]
-        phis = np.linspace(0.0, 2.0 * np.pi, g, endpoint=False)
-        grid = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
-        return dict(starts=_bloch_unitary(np.delete(grid, np.s_[1:g], axis=0)), keep=3,
-                    iters=max(3, cfg.refine_iters // 3))
-    if dA == 3:
-        # the computational-basis start hits the symmetric optima exactly
-        rng = np.random.default_rng(cfg.seed)
-        moved = _FRAMES[3].moves(rng.uniform(-np.pi, np.pi, size=(cfg.restarts - 1, 6)))
-        starts = np.concatenate([np.eye(3, dtype=complex)[None], moved])
-        return dict(starts=starts, keep=3, iters=max(3, cfg.refine_iters // 8))
-    raise ValueError(f"unsupported measured-side dimension dA={dA}; need 2 or 3")
+    return dict(starts=_starts(dA, cfg), keep=3,
+                iters=max(3, cfg.refine_iters // (3 if dA == 2 else 8)))
 
 
 def classical_correlations(rhos, cfg: OptimizerConfig | None = None) -> np.ndarray:

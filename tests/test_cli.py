@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import quncert
-from quncert import scenarios
+from quncert import cli, scenarios
 from quncert.bounds import evaluate_bounds
 from quncert.cli import main
 from quncert.correlations import STACK_STATES, OptimizerConfig
@@ -57,6 +57,31 @@ def test_scenario_unwritable_out_is_usage_error(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith(f"usage error: cannot write {target}: ") and "Traceback" not in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+def test_scenario_unwritable_out_fails_before_the_sweep(capsys, tmp_path, monkeypatch, target):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_scenario called")
+
+    monkeypatch.setattr(cli, "run_scenario", no_sweep)
+    code, out, err = run_cli(capsys, "scenario", "werner-qubit", "--out", str(tmp_path / target))
+    assert code == 1 and out == "" and err.startswith("usage error: cannot write ")
+
+
+def test_scenario_numerical_failure_leaves_no_out_file(capsys, tmp_path, monkeypatch):
+    def failing_sweep(*args, **kwargs):
+        raise RuntimeError("discord estimate below noise floor")
+
+    monkeypatch.setattr(cli, "run_scenario", failing_sweep)
+    target = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, "scenario", "werner-qubit", "--out", str(target))
+    assert code == 3 and err.startswith("numerical failure:")
+    assert not target.exists()
+    # an existing file is left as it was
+    target.write_text("kept\n")
+    assert run_cli(capsys, "scenario", "werner-qubit", "--out", str(target))[0] == 3
+    assert target.read_text() == "kept\n"
 
 
 def test_scenario_metadata_header(tmp_path):
