@@ -9,6 +9,12 @@ state with memory B, the quantity U = S(X|B) + S(Z|B) is bounded below by
 
 where c is the maximal squared eigenvector overlap, J_A the classical
 correlation and D_A the A-side discord.
+
+evaluate_bounds and evaluate_bounds_many build their reports on one path,
+which takes a stack of states: S(AB), S(A) and S(B) each from one stacked
+``eigvalsh``, and U from one :func:`quncert.entropy.branch_spectra` call over
+every state's X and Z projectors. uncertainty_sum and the scalar entropies
+compute the same values state by state, as independent references.
 """
 
 from __future__ import annotations
@@ -17,20 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import (
-    OptimizerConfig,
-    clamp_discord,
-    classical_correlation,
-    classical_correlations,
-    concurrence,
-)
-from .entropy import (
-    ProjectiveMeasurement,
-    measured_conditional_entropy,
-    mutual_information,
-    von_neumann,
-)
-from .linalg import DensityMatrix, EigenSystem, eig_hermitian, ptrace_mat
+from .correlations import STACK_STATES, OptimizerConfig, clamp_discord, concurrence
+from .correlations import classical_correlation, classical_correlations
+from .entropy import ProjectiveMeasurement, branch_matrix, branch_spectra, spectrum_entropies
+from .entropy import measured_conditional_entropy, von_neumann
+from .linalg import DensityMatrix, EigenSystem, eig_hermitian, ptrace_mat, stack_states
 
 DEGENERACY_GAP = 1e-9
 BOUND_TOL = 1e-9
@@ -164,62 +161,53 @@ def _check_observables(dA: int, x: Observable, z: Observable):
         )
 
 
-def _report(rho: DensityMatrix, x: Observable, z: Observable, classical: float) -> BoundReport:
-    """The report of one state and its observables, given the classical correlation.
+def _reports(rhos, xs, zs, classical) -> list[BoundReport]:
+    """The reports of a stack of states of one dims, given their classical correlations.
 
-    U_b2 reuses the classical-correlation estimate that enters the discord, so
-    D - J = I - 2J stays internally consistent.
+    The one report path of the module. U_b2 reuses the classical-correlation
+    estimate that enters the discord, so D - J = I - 2J stays internally consistent.
     """
-    s_ab = von_neumann(rho)
-    s_b = von_neumann(ptrace_mat(rho.mat, rho.dims, "B"))
-    s_cond = s_ab - s_b
-    mutual = mutual_information(rho)
-    disc = clamp_discord(mutual - classical)
-    u = uncertainty_sum(rho, x, z)
-    c = complementarity(x, z)
-    u_b1 = float(np.log2(1.0 / c) + s_cond)
-    u_b2 = u_b1 + max(0.0, disc - classical)
-    u_b3 = 2.0 * s_cond + 2.0 * disc
-    con = concurrence(rho) if rho.dims == (2, 2) else None
-    return BoundReport(
-        U=u,
-        U_b1=u_b1,
-        U_b2=u_b2,
-        U_b3=u_b3,
-        c=c,
-        S_AB=s_ab,
-        S_B=s_b,
-        S_cond=s_cond,
-        mutual=mutual,
-        classical=classical,
-        discord=disc,
-        concurrence=con,
-    )
+    dims, mats = stack_states(rhos)
+    s_ab, s_a, s_b = (spectrum_entropies(np.linalg.eigvalsh(m))
+                      for m in (mats, ptrace_mat(mats, dims, "A"), ptrace_mat(mats, dims, "B")))
+    projectors = np.array([[x.measurement.projectors, z.measurement.projectors]
+                           for x, z in zip(xs, zs)])
+    mu = branch_spectra(branch_matrix(rhos), projectors)  # (N, 2, K, dB)
+    s_post = spectrum_entropies(mu.reshape(len(rhos), 2, -1))
+    u = (s_post[:, 0] - s_b) + (s_post[:, 1] - s_b)
+    s_cond, mutual = s_ab - s_b, s_a + s_b - s_ab
+    reports = []
+    for i, (rho, x, z) in enumerate(zip(rhos, xs, zs)):
+        j, s = float(classical[i]), float(s_cond[i])
+        disc = clamp_discord(float(mutual[i]) - j)
+        c = complementarity(x, z)
+        u_b1 = float(np.log2(1.0 / c) + s)
+        reports.append(BoundReport(
+            U=float(u[i]), U_b1=u_b1, U_b2=u_b1 + max(0.0, disc - j), U_b3=2.0 * s + 2.0 * disc,
+            c=c, S_AB=float(s_ab[i]), S_B=float(s_b[i]), S_cond=s, mutual=float(mutual[i]),
+            classical=j, discord=disc, concurrence=concurrence(rho) if dims == (2, 2) else None))
+    return reports
 
 
-def evaluate_bounds(
-    rho: DensityMatrix,
-    x: Observable,
-    z: Observable,
-    cfg: OptimizerConfig | None = None,
-) -> BoundReport:
+def evaluate_bounds(rho: DensityMatrix, x: Observable, z: Observable,
+                    cfg: OptimizerConfig | None = None) -> BoundReport:
     """Compute U, the three bounds, and the correlation measures in one pass."""
     _check_observables(rho.dA, x, z)
-    return _report(rho, x, z, classical_correlation(rho, cfg))
+    return _reports([rho], [x], [z], [classical_correlation(rho, cfg)])[0]
 
 
-def evaluate_bounds_many(
-    rhos,
-    xs,
-    zs,
-    cfg: OptimizerConfig | None = None,
-) -> list[BoundReport]:
+def evaluate_bounds_many(rhos, xs, zs, cfg: OptimizerConfig | None = None) -> list[BoundReport]:
     """evaluate_bounds for each state of a sequence and its own observables xs[i], zs[i].
 
-    The states share one lock-step J search. Each report equals the one
-    evaluate_bounds gives for its state and observables.
+    The states share one lock-step J search, and their reports are built in
+    stacks of at most STACK_STATES. Each report equals the one evaluate_bounds
+    gives for its state and observables.
     """
+    if not len(rhos) == len(xs) == len(zs):
+        raise ValueError(f"need one X and one Z per state; got {len(rhos)} states,"
+                         f" {len(xs)} X and {len(zs)} Z observables")
     for rho, x, z in zip(rhos, xs, zs):
         _check_observables(rho.dA, x, z)
     classical = classical_correlations(rhos, cfg)
-    return [_report(rho, x, z, float(j)) for rho, x, z, j in zip(rhos, xs, zs, classical)]
+    return [r for lo in range(0, len(rhos), STACK_STATES)
+            for r in _reports(*(a[lo:lo + STACK_STATES] for a in (rhos, xs, zs, classical)))]

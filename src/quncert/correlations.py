@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import ProjectiveMeasurement, branch_matrix, branch_spectra
-from .entropy import mutual_information, xlog2x
-from .linalg import PAULI_Y, DensityMatrix, kron, ptrace_mat
+from .entropy import mutual_information, spectrum_entropies, xlog2x
+from .linalg import PAULI_Y, DensityMatrix, kron, ptrace_mat, stack_states
 
 DISCORD_NOISE = 1e-6
 X_FORM_TOL = 1e-10
@@ -90,9 +90,9 @@ class OptimizerConfig:
 
 
 def _memory_entropies(rhos) -> np.ndarray:
-    """S(B) of each state of a sequence."""
-    w = np.linalg.eigvalsh(np.stack([ptrace_mat(r.mat, r.dims, "B") for r in rhos]))
-    return -xlog2x(np.maximum(w, 0.0)).sum(axis=-1)
+    """S(B) of each state of a sequence of one dims."""
+    dims, mats = stack_states(rhos)
+    return spectrum_entropies(np.linalg.eigvalsh(ptrace_mat(mats, dims, "B")))
 
 
 def _holevo(s_b, mu: np.ndarray):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, kron, ptrace_mat, validate_density
+from .linalg import DensityMatrix, kron, ptrace_mat, stack_states, validate_density
 
 PROB_TOL = 1e-9
 NEGLIGIBLE_OUTCOME = 1e-14
@@ -31,10 +31,15 @@ def xlog2x(p):
     return p * np.log2(np.where(p > 0.0, p, 1.0))
 
 
-def entropy_of_spectrum(w: np.ndarray) -> float:
-    """-sum w log2 w after clipping roundoff-negative values to zero."""
+def spectrum_entropies(w) -> np.ndarray:
+    """-sum w log2 w over the last axis after clipping roundoff-negative values to zero."""
     w = np.asarray(w, dtype=float)
-    return float(-np.sum(xlog2x(np.where(w < 0.0, 0.0, w))))
+    return -np.sum(xlog2x(np.where(w < 0.0, 0.0, w)), axis=-1)
+
+
+def entropy_of_spectrum(w: np.ndarray) -> float:
+    """-sum w log2 w of one spectrum after clipping roundoff-negative values to zero."""
+    return float(spectrum_entropies(w))
 
 
 def shannon(probs, tol: float = PROB_TOL) -> float:
@@ -152,14 +157,7 @@ def branch_matrix(rho) -> np.ndarray:
     one DensityMatrix, giving M of shape (dA*dA, dB*dB), or a sequence of N
     states of one dims, giving a stack of shape (N, dA*dA, dB*dB).
     """
-    if isinstance(rho, DensityMatrix):
-        dims, mats = rho.dims, rho.mat
-    else:
-        all_dims = {r.dims for r in rho}
-        if len(all_dims) != 1:
-            raise ValueError(f"a state stack needs one dims, got {sorted(all_dims)}")
-        (dims,) = all_dims
-        mats = np.stack([r.mat for r in rho])
+    dims, mats = (rho.dims, rho.mat) if isinstance(rho, DensityMatrix) else stack_states(rho)
     dA, dB = dims
     lead = mats.shape[:-2]
     t = np.swapaxes(mats.reshape(lead + (dA, dB, dA, dB)), -2, -3)

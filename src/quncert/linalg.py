@@ -60,6 +60,15 @@ class DensityMatrix:
         return self.dims[0] * self.dims[1]
 
 
+def stack_states(rhos) -> tuple[tuple[int, int], np.ndarray]:
+    """The dims shared by a sequence of N states and their matrices stacked (N, side, side)."""
+    all_dims = {r.dims for r in rhos}
+    if len(all_dims) != 1:
+        raise ValueError(f"a state stack needs one dims, got {sorted(all_dims)}")
+    (dims,) = all_dims
+    return dims, np.stack([r.mat for r in rhos])
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with the left factor on the slow (A) index."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -71,13 +80,14 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 def ptrace_mat(mat: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Partial trace of a raw (dA*dB) x (dA*dB) array; keep is "A" or "B"."""
+    """Partial trace of raw (..., dA*dB, dA*dB) arrays; keep is "A" or "B"."""
     dA, dB = dims
-    r = np.asarray(mat).reshape(dA, dB, dA, dB)
+    mat = np.asarray(mat)
+    r = mat.reshape(mat.shape[:-2] + (dA, dB, dA, dB))
     if keep == "A":
-        return np.trace(r, axis1=1, axis2=3)
+        return np.trace(r, axis1=-3, axis2=-1)
     if keep == "B":
-        return np.trace(r, axis1=0, axis2=2)
+        return np.trace(r, axis1=-4, axis2=-2)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 

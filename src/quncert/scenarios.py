@@ -5,9 +5,10 @@ Every sweep row is a full bound evaluation; rows are deterministic for a
 fixed seed and are checked against the bound inequalities before they are
 emitted. A sweep builds all of its states first and then evaluates them with
 one :func:`quncert.bounds.evaluate_bounds_many` call, whose lock-step J search
-gives every row the value its state gets alone. The verifier draws its states
-and their own observables in chunks of ``STACK_STATES`` and evaluates each
-chunk with one such call.
+and stacked report give every row the values its state gets alone. The
+verifier draws its states and their own observables in chunks of
+``STACK_STATES`` and evaluates each chunk with one such call; its
+single-system check still runs state by state.
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from quncert.bounds import (
+    BoundReport,
     Observable,
     ObservableDimensionError,
     complementarity,
@@ -11,8 +14,10 @@ from quncert.bounds import (
     observable_measurement,
     uncertainty_sum,
 )
-from quncert.correlations import OptimizerConfig
-from quncert.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace, validate_density
+from quncert.correlations import OptimizerConfig, classical_correlation, concurrence
+from quncert.entropy import conditional_entropy, mutual_information, von_neumann
+from quncert.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace, ptrace_mat
+from quncert.linalg import validate_density
 from quncert.observables import bundled_observable
 from quncert.scenarios import random_density, random_observable
 from quncert.states import bell_diagonal, singlet, werner
@@ -231,3 +236,46 @@ def test_evaluate_bounds_many_checks_every_states_observables():
     xs, zs = [SX, SX, bundled_observable("x2")], [SZ] * 3
     with pytest.raises(ObservableDimensionError, match="dimensions 3 and 2"):
         evaluate_bounds_many(rhos, xs, zs)
+
+
+@pytest.mark.parametrize("counts", [(3, 2, 3), (3, 3, 2), (2, 3, 3)])
+def test_evaluate_bounds_many_rejects_unequal_lengths(counts):
+    n_rho, n_x, n_z = counts
+    rhos = [random_density(np_rng, (2, 2)) for _ in range(n_rho)]
+    with pytest.raises(ValueError, match=f"{n_rho} states, {n_x} X and {n_z} Z"):
+        evaluate_bounds_many(rhos, [SX] * n_x, [SZ] * n_z)
+
+
+def pure_and_product(rng, dims):
+    dA, dB = dims
+    v = rng.normal(size=dA * dB) + 1j * rng.normal(size=dA * dB)
+    v /= np.linalg.norm(v)
+    a, b = random_density(rng, (dA, 1)), random_density(rng, (dB, 1))
+    pure, product = np.outer(v, v.conj()), kron(a.mat, b.mat)
+    return [validate_density(pure, dims), validate_density(product, dims)]
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 3)])
+def test_evaluate_bounds_many_matches_scalar_oracles(dims):
+    # the stacked report against the scalar functions, state by state
+    rng = np.random.default_rng((20261018,) + dims)
+    rhos = [random_density(rng, dims) for _ in range(6)] + pure_and_product(rng, dims)
+    xs = [random_observable(rng, dims[0]) for _ in rhos]
+    zs = [random_observable(rng, dims[0]) for _ in rhos]
+    for rho, x, z, rep in zip(rhos, xs, zs, evaluate_bounds_many(rhos, xs, zs, FAST)):
+        s_cond, c = conditional_entropy(rho), complementarity(x, z)
+        j = classical_correlation(rho, FAST)
+        disc = max(0.0, mutual_information(rho) - j)
+        want = dict(
+            U=uncertainty_sum(rho, x, z), U_b1=np.log2(1.0 / c) + s_cond,
+            U_b2=np.log2(1.0 / c) + s_cond + max(0.0, disc - j), U_b3=2.0 * (s_cond + disc),
+            c=c, S_AB=von_neumann(rho), S_B=von_neumann(ptrace_mat(rho.mat, dims, "B")),
+            S_cond=s_cond, mutual=mutual_information(rho), classical=j, discord=disc,
+            concurrence=concurrence(rho) if dims == (2, 2) else None,
+        )
+        for f in fields(BoundReport):
+            got = getattr(rep, f.name)
+            if want[f.name] is None:
+                assert got is None
+            else:
+                assert type(got) is float and abs(got - want[f.name]) <= 1e-12, f.name

@@ -7,6 +7,7 @@ from quncert.linalg import (
     eig_hermitian,
     kron,
     partial_trace,
+    ptrace_mat,
     validate_density,
 )
 from quncert.states import bell_diagonal, singlet, werner
@@ -78,6 +79,17 @@ def test_partial_trace_preserves_trace():
         rho = validate_density(m / np.trace(m).real, (2, 3), tol=1e-9)
         assert abs(np.trace(partial_trace(rho, "A").mat) - 1) < 1e-12
         assert abs(np.trace(partial_trace(rho, "B").mat) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("keep", ["A", "B"])
+@pytest.mark.parametrize("dims", [(2, 1), (2, 4), (3, 3)])
+def test_stacked_ptrace_equals_one_state_ptrace(dims, keep):
+    side = dims[0] * dims[1]
+    stack = np.stack([rand_hermitian(side) for _ in range(6)]).reshape(3, 2, side, side)
+    got = ptrace_mat(stack, dims, keep)
+    assert got.shape == (3, 2) + ptrace_mat(stack[0, 0], dims, keep).shape
+    for i, j in np.ndindex(3, 2):
+        assert np.array_equal(got[i, j], ptrace_mat(stack[i, j], dims, keep))
 
 
 def test_eig_pauli_z():
