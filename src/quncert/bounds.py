@@ -12,9 +12,10 @@ correlation and D_A the A-side discord.
 
 evaluate_bounds and evaluate_bounds_many build their reports on one path,
 which takes a stack of states: S(AB), S(A) and S(B) each from one stacked
-``eigvalsh``, and U from one :func:`quncert.entropy.branch_spectra` call over
-every state's X and Z projectors. uncertainty_sum and the scalar entropies
-compute the same values state by state, as independent references.
+``eigvalsh``, U from one :func:`quncert.entropy.branch_spectra` call over every
+state's X and Z projectors, and U_A = H(X) + H(Z) from the row sums of those
+spectra. uncertainty_sum, single_system_bound and the scalar entropies compute
+the same values state by state, as independent references.
 """
 
 from __future__ import annotations
@@ -70,24 +71,24 @@ def complementarity(x: Observable, z: Observable) -> float:
     return float(overlaps.max())
 
 
-def _povm_elements(povm) -> list[np.ndarray]:
+def _max_element_trace(povm, d: int, tol: float = 1e-9) -> float:
+    """The largest element trace of a POVM on dimension d, after checking that it is one."""
     if isinstance(povm, ProjectiveMeasurement):
-        return list(povm.projectors)
-    return [np.asarray(e, dtype=complex) for e in povm]
-
-
-def _max_element_trace(elements: list[np.ndarray], tol: float = 1e-9) -> float:
-    d = elements[0].shape[0]
-    total = sum(elements)
-    if np.abs(total - np.eye(d)).max() > tol:
-        raise ValueError("POVM elements do not sum to the identity")
+        povm = povm.projectors
+    elements = [np.asarray(e, dtype=complex) for e in povm]
+    if not elements:
+        raise ValueError("POVM has no elements")
     traces = []
     for e in elements:
+        if e.shape != (d, d):
+            raise ValueError(f"POVM element is {'x'.join(map(str, e.shape))}, state has d={d}")
         if np.abs(e - e.conj().T).max() > tol:
             raise ValueError("POVM element is not Hermitian")
         if np.linalg.eigvalsh(e).min() < -tol:
             raise ValueError("POVM element is not positive semidefinite")
         traces.append(float(np.trace(e).real))
+    if np.abs(sum(elements) - np.eye(d)).max() > tol:
+        raise ValueError("POVM elements do not sum to the identity")
     return max(traces)
 
 
@@ -99,8 +100,9 @@ def single_system_bound(rho_a: DensityMatrix, x_povm, z_povm) -> float:
     """
     if 1 not in rho_a.dims:
         raise ValueError(f"expected a single-system state, got dims {rho_a.dims}")
-    c_x = _max_element_trace(_povm_elements(x_povm))
-    c_z = _max_element_trace(_povm_elements(z_povm))
+    d = rho_a.mat.shape[0]
+    c_x = _max_element_trace(x_povm, d)
+    c_z = _max_element_trace(z_povm, d)
     return float(-np.log2(c_x) - np.log2(c_z) + 2.0 * von_neumann(rho_a))
 
 
@@ -126,6 +128,8 @@ class BoundReport:
     mutual: float
     classical: float
     discord: float
+    S_A: float
+    U_A: float
     concurrence: float | None
 
     def violations(self, tol: float = BOUND_TOL, tol_opt: float = BOUND_TOL_OPT) -> list[str]:
@@ -175,6 +179,7 @@ def _reports(rhos, xs, zs, classical) -> list[BoundReport]:
     mu = branch_spectra(branch_matrix(rhos), projectors)  # (N, 2, K, dB)
     s_post = spectrum_entropies(mu.reshape(len(rhos), 2, -1))
     u = (s_post[:, 0] - s_b) + (s_post[:, 1] - s_b)
+    u_a = spectrum_entropies(mu.sum(axis=-1)).sum(axis=-1)
     s_cond, mutual = s_ab - s_b, s_a + s_b - s_ab
     reports = []
     for i, (rho, x, z) in enumerate(zip(rhos, xs, zs)):
@@ -185,7 +190,8 @@ def _reports(rhos, xs, zs, classical) -> list[BoundReport]:
         reports.append(BoundReport(
             U=float(u[i]), U_b1=u_b1, U_b2=u_b1 + max(0.0, disc - j), U_b3=2.0 * s + 2.0 * disc,
             c=c, S_AB=float(s_ab[i]), S_B=float(s_b[i]), S_cond=s, mutual=float(mutual[i]),
-            classical=j, discord=disc, concurrence=concurrence(rho) if dims == (2, 2) else None))
+            classical=j, discord=disc, S_A=float(s_a[i]), U_A=float(u_a[i]),
+            concurrence=concurrence(rho) if dims == (2, 2) else None))
     return reports
 
 

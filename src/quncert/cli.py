@@ -12,11 +12,12 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .bounds import Observable, ObservableDimensionError, evaluate_bounds
+from .bounds import BoundReport, Observable, ObservableDimensionError, evaluate_bounds
 from .correlations import OptimizerConfig
 from .observables import ObservableFormatError, load_observable_file, pauli_observable
 from .scenarios import (
@@ -241,13 +242,10 @@ def _cmd_info(args) -> int:
     report = evaluate_bounds(rho, obs[0], obs[1], cfg)
     print(f"state: {args.state}")
     print(f"observables: {_obs_description(args)}")
-    for name in (
-        "U", "U_b1", "U_b2", "U_b3", "c", "S_AB", "S_B", "S_cond",
-        "mutual", "classical", "discord",
-    ):
-        print(f"  {name:10s} {getattr(report, name):.9f}")
-    con = "n/a (memory is not a qubit)" if report.concurrence is None else f"{report.concurrence:.9f}"
-    print(f"  {'concurrence':10s} {con}")
+    for f in fields(BoundReport):
+        value = getattr(report, f.name)
+        text = "n/a (memory is not a qubit)" if value is None else f"{value:.9f}"
+        print(f"  {f.name:10s} {text}")
     print(f"tightest bound: {report.tightest()}")
     if report.violations():
         for v in report.violations():

@@ -46,6 +46,7 @@ from .linalg import PAULI_Y, DensityMatrix, kron, ptrace_mat, stack_states
 
 DISCORD_NOISE = 1e-6
 X_FORM_TOL = 1e-10
+_SPIN_FLIP = kron(PAULI_Y, PAULI_Y)
 # Most states searched in one lock-step stack; it bounds the lane arrays of long sweeps.
 STACK_STATES = 128
 # Newton polish: line-search fractions of the step, longest step, and the least
@@ -408,8 +409,7 @@ def _check_two_qubit(rho: DensityMatrix):
 def concurrence(rho: DensityMatrix) -> float:
     """Two-qubit concurrence from the spin-flipped-spectrum construction."""
     _check_two_qubit(rho)
-    yy = kron(PAULI_Y, PAULI_Y)
-    m = rho.mat @ yy @ rho.mat.conj() @ yy
+    m = rho.mat @ _SPIN_FLIP @ rho.mat.conj() @ _SPIN_FLIP
     ev = np.sort(np.linalg.eigvals(m).real)[::-1]
     # the spectrum is nonnegative in exact arithmetic; suppress roundoff noise
     # so that rank-deficient states do not leak spurious square roots

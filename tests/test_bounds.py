@@ -114,6 +114,19 @@ def test_single_system_bound_rejects_incomplete_povm():
         single_system_bound(rho, [np.diag([1.0, 0.0])], [np.eye(2)])
 
 
+@pytest.mark.parametrize("povm, message", [
+    (observable_measurement(bundled_observable("x2")), "POVM element is 3x3, state has d=2"),
+    ([np.eye(3)], "POVM element is 3x3, state has d=2"),
+    ([np.ones(2) / 2, np.ones(2) / 2], "POVM element is 2, state has d=2"),
+    ([], "POVM has no elements"),
+], ids=["qutrit-projectors", "qutrit-identity", "vectors", "empty"])
+def test_single_system_bound_rejects_povm_not_on_the_state(povm, message):
+    rho = validate_density(np.eye(2) / 2, (2, 1))
+    for args in ((povm, observable_measurement(SZ)), (observable_measurement(SZ), povm)):
+        with pytest.raises(ValueError, match=message):
+            single_system_bound(rho, *args)
+
+
 def test_uncertainty_singlet():
     assert abs(uncertainty_sum(singlet(), SX, SZ)) < 1e-10
 
@@ -271,6 +284,8 @@ def test_evaluate_bounds_many_matches_scalar_oracles(dims):
             U_b2=np.log2(1.0 / c) + s_cond + max(0.0, disc - j), U_b3=2.0 * (s_cond + disc),
             c=c, S_AB=von_neumann(rho), S_B=von_neumann(ptrace_mat(rho.mat, dims, "B")),
             S_cond=s_cond, mutual=mutual_information(rho), classical=j, discord=disc,
+            S_A=von_neumann(partial_trace(rho, "A")),
+            U_A=uncertainty_sum(partial_trace(rho, "A"), x, z),
             concurrence=concurrence(rho) if dims == (2, 2) else None,
         )
         for f in fields(BoundReport):

@@ -6,9 +6,11 @@ import pytest
 
 import quncert
 from quncert import cli, scenarios
-from quncert.bounds import evaluate_bounds
+from quncert.bounds import evaluate_bounds, evaluate_bounds_many, single_system_bound
+from quncert.bounds import uncertainty_sum
 from quncert.cli import main
 from quncert.correlations import STACK_STATES, OptimizerConfig
+from quncert.linalg import partial_trace
 from quncert.scenarios import (
     SCENARIO_NAMES,
     ScenarioSpec,
@@ -356,6 +358,27 @@ def test_verify_chunks_equal_per_state_evaluation(monkeypatch, dims, n, stack):
     assert stacked.violations == alone.violations
     assert any(v.startswith(f"state {n - 1}:") for v in stacked.violations)
     assert np.array_equal(stacked.worst_state, alone.worst_state)
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (2, 4), (3, 1), (3, 3)])
+def test_verify_single_slack_is_the_scalar_single_system_route(dims):
+    # verify reads its single slack as U_A - 2 S_A from the stacked reports; on
+    # verify's own (seed, index) streams each must be H(X) + H(Z) - 2 S(A) of rho_A
+    # up to roundoff, which is why the minima agree to 1e-12 and not bit for bit
+    n, seed = 8, 7
+    rngs = [np.random.default_rng((seed, index)) for index in range(n)]
+    rhos = [scenarios.random_density(rng, dims) for rng in rngs]
+    xs = [scenarios.random_observable(rng, dims[0]) for rng in rngs]
+    zs = [scenarios.random_observable(rng, dims[0]) for rng in rngs]
+    stacked, scalar = [], []
+    for rho, x, z, r in zip(rhos, xs, zs, evaluate_bounds_many(rhos, xs, zs)):
+        rho_a = partial_trace(rho, "A")
+        stacked.append(r.U_A - 2.0 * r.S_A)
+        scalar.append(uncertainty_sum(rho_a, x, z)
+                      - single_system_bound(rho_a, x.measurement, z.measurement))
+        assert abs(stacked[-1] - scalar[-1]) <= 1e-12
+    single = scenarios.verify(n, dims, seed=seed).min_slacks["single"]
+    assert single == min(stacked) and abs(single - min(scalar)) <= 1e-12
 
 
 def test_ad_markov_at_zero_matches_static_state():
