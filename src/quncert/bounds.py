@@ -12,10 +12,10 @@ correlation and D_A the A-side discord.
 
 evaluate_bounds and evaluate_bounds_many build their reports on one path,
 which takes a stack of states: S(AB), S(A) and S(B) each from one stacked
-``eigvalsh``, U from one :func:`quncert.entropy.branch_spectra` call over every
-state's X and Z projectors, and U_A = H(X) + H(Z) from the row sums of those
-spectra. uncertainty_sum, single_system_bound and the scalar entropies compute
-the same values state by state, as independent references.
+``eigvalsh``, U from one :func:`quncert.entropy.branch_spectra` call over the
+projectors of every state's X and Z eigenbases, stacked, and U_A = H(X) + H(Z)
+from the row sums of those spectra. uncertainty_sum, single_system_bound and
+the scalar entropies compute the same values state by state, as references.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from .correlations import STACK_STATES, OptimizerConfig, clamp_discord, concurrence
 from .correlations import classical_correlation, classical_correlations
-from .entropy import ProjectiveMeasurement, branch_matrix, branch_spectra, spectrum_entropies
-from .entropy import measured_conditional_entropy, von_neumann
+from .entropy import ProjectiveMeasurement, basis_projectors, branch_matrix, branch_spectra
+from .entropy import measured_conditional_entropy, spectrum_entropies, von_neumann
 from .linalg import DensityMatrix, EigenSystem, eig_hermitian, ptrace_mat, stack_states
 
 DEGENERACY_GAP = 1e-9
@@ -40,7 +40,7 @@ class ObservableDimensionError(ValueError):
 
 
 class Observable:
-    """A non-degenerate Hermitian observable with its eigensystem and eigenbasis measurement."""
+    """A non-degenerate Hermitian observable and its eigensystem; U and c read only its eigenbasis."""
 
     def __init__(self, mat: np.ndarray, tol: float = 1e-9):
         self.mat = np.asarray(mat, dtype=complex)
@@ -51,7 +51,6 @@ class Observable:
             raise ValueError(
                 f"degenerate observable: eigenvalue gap {self.degeneracy_gap:.3e} <= {DEGENERACY_GAP:g}"
             )
-        self.measurement = ProjectiveMeasurement.from_basis(self.eigensystem.vectors)
 
     @property
     def dim(self) -> int:
@@ -59,8 +58,8 @@ class Observable:
 
 
 def observable_measurement(obs: Observable) -> ProjectiveMeasurement:
-    """Rank-1 eigenprojectors of a non-degenerate observable, built once with it."""
-    return obs.measurement
+    """Rank-1 eigenprojectors of a non-degenerate observable, built and checked per call."""
+    return ProjectiveMeasurement.from_basis(obs.eigensystem.vectors)
 
 
 def complementarity(x: Observable, z: Observable) -> float:
@@ -174,9 +173,8 @@ def _reports(rhos, xs, zs, classical) -> list[BoundReport]:
     dims, mats = stack_states(rhos)
     s_ab, s_a, s_b = (spectrum_entropies(np.linalg.eigvalsh(m))
                       for m in (mats, ptrace_mat(mats, dims, "A"), ptrace_mat(mats, dims, "B")))
-    projectors = np.array([[x.measurement.projectors, z.measurement.projectors]
-                           for x, z in zip(xs, zs)])
-    mu = branch_spectra(branch_matrix(rhos), projectors)  # (N, 2, K, dB)
+    bases = np.array([[x.eigensystem.vectors, z.eigensystem.vectors] for x, z in zip(xs, zs)])
+    mu = branch_spectra(branch_matrix(rhos), basis_projectors(bases))  # (N, 2, K, dB)
     s_post = spectrum_entropies(mu.reshape(len(rhos), 2, -1))
     u = (s_post[:, 0] - s_b) + (s_post[:, 1] - s_b)
     u_a = spectrum_entropies(mu.sum(axis=-1)).sum(axis=-1)

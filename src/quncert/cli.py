@@ -88,7 +88,7 @@ def _load_observables(args) -> tuple[Observable, Observable] | None:
             return load_observable_file(args.obs_file[0]), load_observable_file(args.obs_file[1])
         except (OSError, ObservableFormatError, ValueError) as exc:
             raise _UsageError(str(exc)) from None
-    if args.obs:
+    if args.obs is not None:
         spec = args.obs.strip()
         if not spec.startswith("builtin:"):
             raise _UsageError(f"--obs expects builtin:i,j, got {spec!r}")
@@ -237,8 +237,6 @@ def _cmd_info(args) -> int:
     cfg = _cfg_from(args)
     rho = parse_state_spec(args.state)
     obs = _load_observables(args)
-    if obs is None:
-        obs = (pauli_observable(1), pauli_observable(3))
     report = evaluate_bounds(rho, obs[0], obs[1], cfg)
     print(f"state: {args.state}")
     print(f"observables: {_obs_description(args)}")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import ProjectiveMeasurement, branch_matrix, branch_spectra
+from .entropy import ProjectiveMeasurement, basis_projectors, branch_matrix, branch_spectra
 from .entropy import mutual_information, spectrum_entropies, xlog2x
 from .linalg import PAULI_Y, DensityMatrix, kron, ptrace_mat, stack_states
 
@@ -110,12 +110,6 @@ def holevo_quantity(rho: DensityMatrix, meas: ProjectiveMeasurement) -> float:
     """S(rho_B) - sum_j p_j S(rho_B|j) for a measurement on A."""
     mu = branch_spectra(branch_matrix(rho), meas.projectors)
     return float(_holevo(_memory_entropies([rho])[0], mu))
-
-
-def _basis_projectors(u: np.ndarray) -> np.ndarray:
-    """Projectors (..., K, d, d) onto the K columns of the bases u (..., d, K)."""
-    cols = np.swapaxes(u, -1, -2)  # row k is column k of u
-    return cols[..., :, :, None] * cols.conj()[..., :, None, :]
 
 
 class _Frame:
@@ -284,7 +278,7 @@ def _search(rhos, starts: np.ndarray, keep: int, iters: int):
     n = len(rhos)
     m = branch_matrix(rhos)
     s_b = _memory_entropies(rhos)
-    start_projectors = _basis_projectors(starts)
+    start_projectors = basis_projectors(starts)
     scores = np.array([_holevo(s, branch_spectra(mi, start_projectors)) for s, mi in zip(s_b, m)])
     best = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
     state = np.repeat(np.arange(n), best.shape[1])
@@ -294,7 +288,7 @@ def _search(rhos, starts: np.ndarray, keep: int, iters: int):
     def value(bases, lanes):
         # one gemm per lane, against the branch matrix of the lane's state
         own = state[lanes]
-        return _holevo(s_b[own, None], branch_spectra(m[own], _basis_projectors(bases)))
+        return _holevo(s_b[own, None], branch_spectra(m[own], basis_projectors(bases)))
 
     def derivatives(bases, lanes):
         return frame.derivatives(m[state[lanes]], bases)

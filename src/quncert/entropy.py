@@ -103,8 +103,13 @@ class ProjectiveMeasurement:
     @classmethod
     def from_basis(cls, vectors: np.ndarray, tol: float = 1e-9) -> "ProjectiveMeasurement":
         """Rank-1 projectors onto the columns of an orthonormal matrix."""
-        v = np.asarray(vectors, dtype=complex)
-        return cls([np.outer(v[:, k], v[:, k].conj()) for k in range(v.shape[1])], tol=tol)
+        return cls(basis_projectors(np.asarray(vectors, dtype=complex)), tol=tol)
+
+
+def basis_projectors(u: np.ndarray) -> np.ndarray:
+    """Projectors (..., K, d, d) onto the K columns of the bases u (..., d, K)."""
+    cols = np.swapaxes(u, -1, -2)  # row k is column k of u
+    return cols[..., :, :, None] * cols.conj()[..., :, None, :]
 
 
 @dataclass(frozen=True)

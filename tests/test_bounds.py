@@ -15,10 +15,11 @@ from quncert.bounds import (
     uncertainty_sum,
 )
 from quncert.correlations import OptimizerConfig, classical_correlation, concurrence
-from quncert.entropy import conditional_entropy, mutual_information, von_neumann
+from quncert.entropy import ProjectiveMeasurement, basis_projectors, conditional_entropy
+from quncert.entropy import mutual_information, von_neumann
 from quncert.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace, ptrace_mat
 from quncert.linalg import validate_density
-from quncert.observables import bundled_observable
+from quncert.observables import bundled_observable, pauli_observable, su3_pair
 from quncert.scenarios import random_density, random_observable
 from quncert.states import bell_diagonal, singlet, werner
 
@@ -61,6 +62,35 @@ def test_observable_measurement_reference_matrix():
     p0, p1 = meas.projectors
     assert np.abs(p0 @ p1).max() < 1e-12
     assert np.abs(p0 + p1 - np.eye(2)).max() < 1e-12
+
+
+def build_observables():
+    return [pauli_observable(1), pauli_observable(2), pauli_observable(3),
+            bundled_observable("x2"), *su3_pair()]
+
+
+def test_observable_construction_builds_no_measurement(monkeypatch):
+    calls = []
+    init = ProjectiveMeasurement.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProjectiveMeasurement, "__init__", counting_init)
+    observables = build_observables()
+    assert calls == []
+    observable_measurement(observables[-1])
+    assert calls == [1]
+
+
+def test_observable_measurement_is_the_reports_projectors():
+    # the oracle and the stacked report take the same projectors, bit for bit
+    rng = np.random.default_rng(5)
+    observables = build_observables() + [random_observable(rng, d) for d in (2, 3)]
+    for obs in observables:
+        want = basis_projectors(obs.eigensystem.vectors)
+        assert observable_measurement(obs).projectors.tobytes() == want.tobytes()
 
 
 def test_complementarity_mutually_unbiased_qubit():

@@ -7,7 +7,7 @@ import pytest
 import quncert
 from quncert import cli, scenarios
 from quncert.bounds import evaluate_bounds, evaluate_bounds_many, single_system_bound
-from quncert.bounds import uncertainty_sum
+from quncert.bounds import observable_measurement, uncertainty_sum
 from quncert.cli import main
 from quncert.correlations import STACK_STATES, OptimizerConfig
 from quncert.linalg import partial_trace
@@ -148,6 +148,17 @@ def test_scenario_obs_override(capsys):
     )
     assert code == 0
     assert "builtin:1,2" in out
+
+
+@pytest.mark.parametrize("command", [["scenario", "pd-markov"],
+                                     ["info", "--state", "werner:d=2,f=0.8"]],
+                         ids=["scenario", "info"])
+@pytest.mark.parametrize("spec", ["", " "], ids=["empty", "blank"])
+def test_empty_obs_is_usage_error(capsys, command, spec):
+    # an empty --obs must not fall back to default observables
+    code, out, err = run_cli(capsys, *command, "--obs", spec)
+    assert code == 1 and out == ""
+    assert err == "usage error: --obs expects builtin:i,j, got ''\n"
 
 
 def test_scenario_obs_file(capsys, tmp_path):
@@ -374,8 +385,8 @@ def test_verify_single_slack_is_the_scalar_single_system_route(dims):
     for rho, x, z, r in zip(rhos, xs, zs, evaluate_bounds_many(rhos, xs, zs)):
         rho_a = partial_trace(rho, "A")
         stacked.append(r.U_A - 2.0 * r.S_A)
-        scalar.append(uncertainty_sum(rho_a, x, z)
-                      - single_system_bound(rho_a, x.measurement, z.measurement))
+        scalar.append(uncertainty_sum(rho_a, x, z) - single_system_bound(
+            rho_a, observable_measurement(x), observable_measurement(z)))
         assert abs(stacked[-1] - scalar[-1]) <= 1e-12
     single = scenarios.verify(n, dims, seed=seed).min_slacks["single"]
     assert single == min(stacked) and abs(single - min(scalar)) <= 1e-12

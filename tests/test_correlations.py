@@ -6,7 +6,6 @@ from quncert.correlations import (
     OptimizerConfig,
     _FRAMES,
     _Frame,
-    _basis_projectors,
     _holevo,
     _memory_entropies,
     _polish,
@@ -22,6 +21,7 @@ from quncert.correlations import (
 )
 from quncert.entropy import (
     ProjectiveMeasurement,
+    basis_projectors,
     branch_matrix,
     branch_spectra,
     mutual_information,
@@ -265,13 +265,13 @@ def test_newton_lanes_match_one_lane_searches():
 
             def value(bases, lanes):
                 record("value", bases, lanes)
-                return _holevo(s_b[lanes, None], branch_spectra(m[lanes], _basis_projectors(bases)))
+                return _holevo(s_b[lanes, None], branch_spectra(m[lanes], basis_projectors(bases)))
 
             def derivatives(bases, lanes):
                 record("derivatives", bases, lanes)
                 return _FRAMES[d_a].derivatives(m[lanes], bases)
 
-            fu0 = _holevo(s_b[:, None], branch_spectra(m, _basis_projectors(u0[idx, None])))[:, 0]
+            fu0 = _holevo(s_b[:, None], branch_spectra(m, basis_projectors(u0[idx, None])))[:, 0]
             u, fu = _polish(value, derivatives, u0[idx], fu0, iters=12)
             return u, fu, calls, seen
 

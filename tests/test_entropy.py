@@ -127,6 +127,18 @@ def test_measurement_requires_completeness():
         ProjectiveMeasurement([p0, np.outer(plus, plus), np.eye(2) - p0 - np.outer(plus, plus)])
 
 
+@pytest.mark.parametrize("vectors, message", [
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), "not complete"),
+    (np.linalg.qr(np.random.default_rng(20261019).normal(size=(3, 2)))[0], "not complete"),
+    (np.sqrt(2 / 3) * np.array([[1.0, -0.5, -0.5], [0.0, 0.75 ** 0.5, -0.75 ** 0.5]]),
+     "not idempotent"),
+], ids=["not-orthonormal", "partial", "trine-frame"])
+def test_from_basis_rejects_a_bad_basis(vectors, message):
+    # the trine columns complete to the identity, so only idempotency catches them
+    with pytest.raises(ValueError, match=message):
+        ProjectiveMeasurement.from_basis(vectors)
+
+
 def test_measure_maximally_mixed():
     rho = validate_density(np.eye(4) / 4, (2, 2))
     out = measure_on_A(rho, pauli_measurement(PAULI_Z))
