@@ -13,9 +13,11 @@ correlation and D_A the A-side discord.
 evaluate_bounds and evaluate_bounds_many build their reports on one path,
 which takes a stack of states: S(AB), S(A) and S(B) each from one stacked
 ``eigvalsh``, U from one :func:`quncert.entropy.branch_spectra` call over the
-projectors of every state's X and Z eigenbases, stacked, and U_A = H(X) + H(Z)
-from the row sums of those spectra. uncertainty_sum, single_system_bound and
-the scalar entropies compute the same values state by state, as references.
+projectors of every state's X and Z eigenbases, stacked, U_A = H(X) + H(Z)
+from the row sums of those spectra, c from one stacked overlap product of the
+eigenbases, and the two-qubit concurrence from one stacked ``eigvals``.
+uncertainty_sum, single_system_bound, complementarity, concurrence and the
+scalar entropies compute the same values state by state, as references.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import STACK_STATES, OptimizerConfig, clamp_discord, concurrence
+from .correlations import STACK_STATES, OptimizerConfig, clamp_discord, concurrences
 from .correlations import classical_correlation, classical_correlations
 from .entropy import ProjectiveMeasurement, basis_projectors, branch_matrix, branch_spectra
 from .entropy import measured_conditional_entropy, spectrum_entropies, von_neumann
-from .linalg import DensityMatrix, EigenSystem, eig_hermitian, ptrace_mat, stack_states
+from .linalg import DensityMatrix, EigenSystem, adjoint, eig_hermitian, ptrace_mat, stack_states
 
 DEGENERACY_GAP = 1e-9
 BOUND_TOL = 1e-9
@@ -179,17 +181,17 @@ def _reports(rhos, xs, zs, classical) -> list[BoundReport]:
     u = (s_post[:, 0] - s_b) + (s_post[:, 1] - s_b)
     u_a = spectrum_entropies(mu.sum(axis=-1)).sum(axis=-1)
     s_cond, mutual = s_ab - s_b, s_a + s_b - s_ab
+    cs = (np.abs(adjoint(bases[:, 0]) @ bases[:, 1]) ** 2).max(axis=(-2, -1)).tolist()
+    con = concurrences(mats).tolist() if dims == (2, 2) else [None] * len(rhos)
     reports = []
-    for i, (rho, x, z) in enumerate(zip(rhos, xs, zs)):
+    for i, c in enumerate(cs):
         j, s = float(classical[i]), float(s_cond[i])
         disc = clamp_discord(float(mutual[i]) - j)
-        c = complementarity(x, z)
         u_b1 = float(np.log2(1.0 / c) + s)
         reports.append(BoundReport(
             U=float(u[i]), U_b1=u_b1, U_b2=u_b1 + max(0.0, disc - j), U_b3=2.0 * s + 2.0 * disc,
             c=c, S_AB=float(s_ab[i]), S_B=float(s_b[i]), S_cond=s, mutual=float(mutual[i]),
-            classical=j, discord=disc, S_A=float(s_a[i]), U_A=float(u_a[i]),
-            concurrence=concurrence(rho) if dims == (2, 2) else None))
+            classical=j, discord=disc, S_A=float(s_a[i]), U_A=float(u_a[i]), concurrence=con[i]))
     return reports
 
 

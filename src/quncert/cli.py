@@ -9,6 +9,7 @@ bound report for a single state. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -108,7 +109,9 @@ def _obs_description(args) -> str:
     return "scenario default"
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The one parser of the process; parse_args keeps no state between calls."""
     parser = _Parser(prog="quncert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"quncert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

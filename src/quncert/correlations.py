@@ -412,6 +412,16 @@ def concurrence(rho: DensityMatrix) -> float:
     return float(max(0.0, mus[0] - mus[1] - mus[2] - mus[3]))
 
 
+def concurrences(mats: np.ndarray) -> np.ndarray:
+    """concurrence of each matrix of a two-qubit stack (N, 4, 4), with one stacked ``eigvals``."""
+    m = mats @ _SPIN_FLIP @ mats.conj() @ _SPIN_FLIP
+    ev = np.sort(np.linalg.eigvals(m).real, axis=-1)[:, ::-1]
+    ev = np.where(ev > ev[:, :1] * 1e-12, ev, 0.0)
+    mus = np.sqrt(ev)
+    gap = mus[:, 0] - mus[:, 1] - mus[:, 2] - mus[:, 3]
+    return np.where(gap > 0.0, gap, 0.0)
+
+
 def concurrence_x(rho: DensityMatrix) -> float:
     """Concurrence of an X-form state: 2*max{0, |r14|-sqrt(r22 r33), |r23|-sqrt(r11 r44)}."""
     _check_two_qubit(rho)

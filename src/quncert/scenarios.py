@@ -3,9 +3,10 @@ inequality verifier, and a small state-spec grammar for the inspector.
 
 Every sweep row is a full bound evaluation; rows are deterministic for a
 fixed seed and are checked against the bound inequalities before they are
-emitted. A sweep builds all of its states first and then evaluates them with
-one :func:`quncert.bounds.evaluate_bounds_many` call, whose lock-step J search
-and stacked report give every row the values its state gets alone. The
+emitted. A sweep builds all of its states as one stack, in one call of its
+state family or channel on the array of x, and then evaluates them with one
+:func:`quncert.bounds.evaluate_bounds_many` call, whose lock-step J search and
+stacked report give every row the values its state gets alone. The
 verifier draws its states and their own observables in chunks of
 ``STACK_STATES`` and evaluates each chunk with one such call, whose reports
 carry all four of its slacks.
@@ -76,42 +77,16 @@ class TimeSeriesRow:
 class _Scenario:
     sweep: tuple[float, float, int]
     params: dict[str, float]
-    build: Callable[[float, dict[str, float]], DensityMatrix]
+    build: Callable[[np.ndarray, dict[str, float]], list[DensityMatrix]]
     default_obs: Callable[[], tuple[Observable, Observable]]
     sweep_label: str = "x"
     notes: tuple[str, ...] = ()
 
 
-def _build_qubit_qutrit(x, p):
-    return qubit_qudit(p["alpha"], x, kind="qutrit")
-
-
-def _build_qubit_ququart(x, p):
-    return qubit_qudit(p["alpha"], x, kind="ququart")
-
-
-def _build_ad_markov(x, p):
-    rho0 = bell_diagonal(p["c1"], p["c2"], p["c3"])
-    return apply_kraus(rho0, local_channel("amplitude", x, x))
-
-
-def _build_pd_markov(x, p):
-    rho0 = bell_diagonal(p["c1"], p["c2"], p["c3"])
-    return apply_kraus(rho0, local_channel("phase", x, x))
-
-
-def _build_jc(x, p):
-    p_t = jc_survival(x, gamma0=1.0, tau=p["tau"])
-    return jc_state(p["alpha"], p_t)
-
-
-def _build_random_field(x, p):
-    rho0 = bell_mixture(p["w1p"], p["w1m"], p["w2p"], p["w2m"])
-    return random_field_state(rho0, x, p["p1"])
-
-
-def _build_sudden(x, p):
-    return dephased_bell_diagonal(p["c1"], p["c2"], p["c3"], p["gamma"], x)
+def _build_damped(kind: str):
+    """The builder of a Bell-diagonal state under two-sided damping of one kind."""
+    return lambda x, p: apply_kraus(bell_diagonal(p["c1"], p["c2"], p["c3"]),
+                                    local_channel(kind, x, x))
 
 
 def _build_one_sided_pd(x, p):
@@ -158,28 +133,28 @@ _REGISTRY: dict[str, _Scenario] = {
     "qubit-qutrit": _Scenario(
         sweep=(0.0, 0.5, 101),
         params={"alpha": 0.25},
-        build=_build_qubit_qutrit,
+        build=lambda x, p: qubit_qudit(p["alpha"], x, kind="qutrit"),
         default_obs=lambda: (bundled_observable("x3"), bundled_observable("z3")),
         sweep_label="gamma",
     ),
     "qubit-ququart": _Scenario(
         sweep=(0.0, 0.6, 101),
         params={"alpha": 0.1},
-        build=_build_qubit_ququart,
+        build=lambda x, p: qubit_qudit(p["alpha"], x, kind="ququart"),
         default_obs=lambda: (bundled_observable("x4"), bundled_observable("z4")),
         sweep_label="gamma",
     ),
     "ad-markov": _Scenario(
         sweep=(0.0, 1.0, 201),
         params={"c1": -0.8, "c2": -0.8, "c3": -0.8},
-        build=_build_ad_markov,
+        build=_build_damped("amplitude"),
         default_obs=lambda: (pauli_observable(1), pauli_observable(2)),
         sweep_label="p",
     ),
     "pd-markov": _Scenario(
         sweep=(0.0, 1.0, 201),
         params={"c1": -0.8, "c2": -0.8, "c3": -0.8},
-        build=_build_pd_markov,
+        build=_build_damped("phase"),
         default_obs=lambda: (pauli_observable(1), pauli_observable(3)),
         sweep_label="p",
         notes=(_PD_COHERENCE_NOTE,),
@@ -187,14 +162,15 @@ _REGISTRY: dict[str, _Scenario] = {
     "jc-nonmarkov": _Scenario(
         sweep=(0.0, 30.0, 600),
         params={"alpha": 1.0 / math.sqrt(10.0), "tau": 0.01},
-        build=_build_jc,
+        build=lambda x, p: jc_state(p["alpha"], jc_survival(x, gamma0=1.0, tau=p["tau"])),
         default_obs=lambda: (pauli_observable(1), pauli_observable(3)),
         sweep_label="gamma0*t",
     ),
     "random-field": _Scenario(
         sweep=(0.0, 4.0 * math.pi, 400),
         params={"w1p": 0.9, "w1m": 0.1, "w2p": 0.0, "w2m": 0.0, "p1": 0.025},
-        build=_build_random_field,
+        build=lambda x, p: random_field_state(
+            bell_mixture(p["w1p"], p["w1m"], p["w2p"], p["w2m"]), x, p["p1"]),
         default_obs=lambda: (pauli_observable(1), pauli_observable(3)),
         sweep_label="g*t",
         notes=(_FIELD_WEIGHTS_NOTE,),
@@ -202,7 +178,7 @@ _REGISTRY: dict[str, _Scenario] = {
     "sudden-transition": _Scenario(
         sweep=(0.0, 1.5, 300),
         params={"c1": 1.0, "c2": -0.6, "c3": 0.6, "gamma": 1.0},
-        build=_build_sudden,
+        build=lambda x, p: dephased_bell_diagonal(p["c1"], p["c2"], p["c3"], p["gamma"], x),
         default_obs=lambda: (pauli_observable(1), pauli_observable(3)),
         sweep_label="gamma*t",
         notes=(_PD_COHERENCE_NOTE,),
@@ -243,15 +219,21 @@ def run_scenario(spec: ScenarioSpec, cfg: OptimizerConfig | None = None) -> list
     if steps > MAX_SWEEP_STEPS:
         raise ScenarioError(f"sweep of {steps} steps; need at most {MAX_SWEEP_STEPS}")
     obs = spec.observables or sc.default_obs()
-    xs = [float(x) for x in np.linspace(start, stop, steps)]
-    states = []
-    for x in xs:
-        try:
-            states.append(sc.build(x, params))
-        except ValueError as exc:
-            raise ScenarioError(f"{spec.name} at {sc.sweep_label}={x:g}: {exc}") from None
+    xs = np.linspace(start, stop, steps)
+    states = _build(spec.name, sc, xs, params)
     reports = evaluate_bounds_many(states, [obs[0]] * steps, [obs[1]] * steps, cfg)
-    return [TimeSeriesRow(x=x, report=report) for x, report in zip(xs, reports)]
+    return [TimeSeriesRow(x=float(x), report=report) for x, report in zip(xs, reports)]
+
+
+def _build(name: str, sc: _Scenario, xs: np.ndarray, params: dict) -> list[DensityMatrix]:
+    """The sweep's states, or the error of the first x whose state fails a check alone."""
+    try:
+        return sc.build(xs, params)
+    except ValueError as exc:
+        at = getattr(exc, "index", 0)
+        if at:  # each check runs over the whole stack first: an earlier x may fail a later one
+            _build(name, sc, xs[:at], params)
+        raise ScenarioError(f"{name} at {sc.sweep_label}={xs[at]:g}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

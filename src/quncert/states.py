@@ -2,16 +2,18 @@
 
 Basis conventions, fixed once: |phi+-> = (|00> +- |11>)/sqrt(2) and
 |psi+-> = (|01> +- |10>)/sqrt(2). Every constructor returns a state validated
-at tolerance 1e-12.
+at tolerance 1e-12. A parameter documented to broadcast takes N values for a
+list of N states, each bit for bit the state of its value alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PAULIS, DensityMatrix, kron, validate_density
+from .linalg import PAULIS, DensityMatrix, StateError, entry, kron, require, validate_density
 
 CONSTRUCT_TOL = 1e-12
+_SIGMA_PAIRS = tuple(kron(s, s) for s in PAULIS)
 
 
 def _ket(dims, *indices) -> np.ndarray:
@@ -46,10 +48,10 @@ def werner(d: int, f: float) -> DensityMatrix:
     """Werner family: white noise mixed with the antisymmetric component.
 
     d=2 gives (1-f)/4 * I + f |psi-><psi-|; d=3 mixes the projectors onto the
-    symmetric and antisymmetric subspaces with weights (1-f)/6 and f/3.
+    symmetric and antisymmetric subspaces with weights (1-f)/6 and f/3. f broadcasts.
     """
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"f={f} outside [0, 1]")
+    require((0.0 <= f) & (f <= 1.0), "f={} outside [0, 1]", f)
+    f = np.asarray(f)[..., None, None]
     if d == 2:
         mat = (1.0 - f) / 4.0 * np.eye(4, dtype=complex) + f * _proj(_bell_vectors()[3])
         return validate_density(mat, (2, 2), tol=CONSTRUCT_TOL)
@@ -66,11 +68,11 @@ def werner(d: int, f: float) -> DensityMatrix:
 
 
 def isotropic(d: int, f: float) -> DensityMatrix:
-    """Isotropic family: f on the maximally entangled state, the rest uniform."""
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"f={f} outside [0, 1]")
+    """Isotropic family: f on the maximally entangled state, the rest uniform. f broadcasts."""
+    require((0.0 <= f) & (f <= 1.0), "f={} outside [0, 1]", f)
     if d not in (2, 3):
         raise ValueError(f"d={d} unsupported; need 2 or 3")
+    f = np.asarray(f)[..., None, None]
     v = sum(_ket((d, d), i, i) for i in range(d)) / np.sqrt(d)
     phi = _proj(v)
     mat = f * phi + (1.0 - f) / (d * d - 1.0) * (np.eye(d * d, dtype=complex) - phi)
@@ -78,14 +80,15 @@ def isotropic(d: int, f: float) -> DensityMatrix:
 
 
 def bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
-    """Two-qubit state with maximally mixed marginals and correlation triple (c1, c2, c3)."""
+    """Bell-diagonal two-qubit state of correlation triple (c1, c2, c3), which broadcasts."""
     mat = np.eye(4, dtype=complex)
-    for c, sigma in zip((c1, c2, c3), PAULIS):
-        mat = mat + c * kron(sigma, sigma)
+    for c, sigma_pair in zip((c1, c2, c3), _SIGMA_PAIRS):
+        mat = mat + np.asarray(c)[..., None, None] * sigma_pair
     try:
         return validate_density(mat / 4.0, (2, 2), tol=CONSTRUCT_TOL)
-    except ValueError as exc:
-        raise ValueError(f"invalid correlation triple ({c1}, {c2}, {c3}): {exc}") from None
+    except StateError as exc:
+        triple = ", ".join(str(entry(c, exc.index)) for c in (c1, c2, c3))
+        raise StateError(f"invalid correlation triple ({triple}): {exc}", exc.index) from None
 
 
 def qubit_qudit(
@@ -96,7 +99,7 @@ def qubit_qudit(
     The Bell components live in the first two levels of the qudit; alpha
     weights each |i, j>=2 level. beta defaults to the value fixed by unit
     trace: (1 - 2*alpha - gamma)/3 for the qutrit, (1 - 4*alpha - gamma)/3
-    for the ququart.
+    for the ququart. The weights broadcast.
     """
     if kind == "qutrit":
         dB, pad_levels = 3, (2,)
@@ -107,18 +110,18 @@ def qubit_qudit(
     n_pad = 2 * len(pad_levels)
     if beta is None:
         beta = (1.0 - n_pad * alpha - gamma) / 3.0
-    if min(alpha, beta, gamma) < -CONSTRUCT_TOL:
-        raise ValueError(f"negative weight among alpha={alpha}, beta={beta}, gamma={gamma}")
+    require(~np.less(np.minimum(np.minimum(alpha, beta), gamma), -CONSTRUCT_TOL),
+            "negative weight among alpha={}, beta={}, gamma={}", alpha, beta, gamma)
     total = n_pad * alpha + 3.0 * beta + gamma
-    if abs(total - 1.0) > CONSTRUCT_TOL:
-        raise ValueError(f"weights sum to {total!r}, not 1")
+    require(~np.greater(abs(total - 1.0), CONSTRUCT_TOL), "weights sum to {!r}, not 1", total)
+    alpha, beta, gamma = (np.asarray(w)[..., None, None] for w in (alpha, beta, gamma))
     phi_p, phi_m, psi_p, psi_m = _bell_vectors(dB)
     mat = np.zeros((2 * dB, 2 * dB), dtype=complex)
     for i in (0, 1):
         for j in pad_levels:
-            mat += alpha * _proj(_ket((2, dB), i, j))
+            mat = mat + alpha * _proj(_ket((2, dB), i, j))
     for w, v in ((beta, phi_p), (beta, phi_m), (beta, psi_p), (gamma, psi_m)):
-        mat += w * _proj(v)
+        mat = mat + w * _proj(v)
     return validate_density(mat, (2, dB), tol=CONSTRUCT_TOL)
 
 

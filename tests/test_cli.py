@@ -7,18 +7,28 @@ import pytest
 import quncert
 from quncert import cli, scenarios
 from quncert.bounds import evaluate_bounds, evaluate_bounds_many, single_system_bound
+from quncert.channels import (
+    apply_kraus,
+    dephased_bell_diagonal,
+    jc_state,
+    jc_survival,
+    local_channel,
+    random_field_state,
+)
 from quncert.bounds import observable_measurement, uncertainty_sum
 from quncert.cli import main
 from quncert.correlations import STACK_STATES, OptimizerConfig
-from quncert.linalg import partial_trace
+from quncert.linalg import partial_trace, require
 from quncert.scenarios import (
     SCENARIO_NAMES,
+    ScenarioError,
     ScenarioSpec,
     StateSpecError,
     parse_state_spec,
     run_scenario,
     scenario_defaults,
 )
+from quncert.states import bell_diagonal, bell_mixture, isotropic, qubit_qudit, werner
 
 
 def run_cli(capsys, *argv):
@@ -313,6 +323,52 @@ def test_run_scenario_rows_ordered():
     assert len(rows) == 5
 
 
+def _one_sided_state(x, p):
+    b, r, d = p["b"], p["r"], p["d"]
+    rho0 = bell_mixture(b * r, d * (1.0 - r), d * r, b * (1.0 - r))
+    return apply_kraus(rho0, local_channel("phase", x, 0.0))
+
+
+# Each scenario's state at one x, from the public scalar constructors alone.
+SCALAR_STATE = {
+    "werner-qubit": lambda x, p: werner(2, x),
+    "werner-qutrit": lambda x, p: werner(3, x),
+    "isotropic-d2": lambda x, p: isotropic(2, x),
+    "isotropic-d3": lambda x, p: isotropic(3, x),
+    "qubit-qutrit": lambda x, p: qubit_qudit(p["alpha"], x, kind="qutrit"),
+    "qubit-ququart": lambda x, p: qubit_qudit(p["alpha"], x, kind="ququart"),
+    "ad-markov": lambda x, p: apply_kraus(
+        bell_diagonal(p["c1"], p["c2"], p["c3"]), local_channel("amplitude", x, x)),
+    "pd-markov": lambda x, p: apply_kraus(
+        bell_diagonal(p["c1"], p["c2"], p["c3"]), local_channel("phase", x, x)),
+    "jc-nonmarkov": lambda x, p: jc_state(p["alpha"], jc_survival(x, gamma0=1.0, tau=p["tau"])),
+    "random-field": lambda x, p: random_field_state(
+        bell_mixture(p["w1p"], p["w1m"], p["w2p"], p["w2m"]), x, p["p1"]),
+    "sudden-transition": lambda x, p: dephased_bell_diagonal(
+        p["c1"], p["c2"], p["c3"], p["gamma"], x),
+    "one-sided-pd": _one_sided_state,
+}
+
+
+def test_every_scenario_has_a_scalar_oracle():
+    assert sorted(SCALAR_STATE) == sorted(SCENARIO_NAMES)
+
+
+@pytest.mark.parametrize("length", ["default", "one"])
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_stacked_build_equals_scalar_constructors(name, length):
+    # a sweep's one stacked build gives every x the bytes its scalar constructors give alone
+    sc = scenarios._REGISTRY[name]
+    start, stop, steps = sc.sweep
+    xs = np.linspace(start, stop, steps if length == "default" else 1)
+    states = sc.build(xs, dict(sc.params))
+    assert len(states) == len(xs)
+    for x, rho in zip(xs, states):
+        alone = SCALAR_STATE[name](float(x), sc.params)
+        assert rho.dims == alone.dims and rho.tol == alone.tol
+        assert rho.mat.tobytes() == alone.mat.tobytes(), f"{name} at x={x}"
+
+
 @pytest.mark.parametrize("name, steps", [
     ("pd-markov", 7), ("qubit-ququart", 5), ("werner-qutrit", 5),
     ("jc-nonmarkov", STACK_STATES + 5),
@@ -325,8 +381,63 @@ def test_run_scenario_rows_equal_per_row_evaluation(name, steps):
     x_obs, z_obs = sc.default_obs()
     assert len(rows) == steps
     for row in rows:
-        alone = evaluate_bounds(sc.build(row.x, sc.params), x_obs, z_obs)
+        alone = evaluate_bounds(SCALAR_STATE[name](row.x, sc.params), x_obs, z_obs)
         assert repr(row.report) == repr(alone)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["pd-markov", "--sweep", "0:1.5:4"],
+     "pd-markov at p=1.5: damping probability 1.5 outside [0, 1]"),
+    (["ad-markov", "--sweep", "0.5:1.2:3"],
+     "ad-markov at p=1.2: damping probability 1.2 outside [0, 1]"),
+    (["jc-nonmarkov", "--param", "tau=5"],
+     "jc-nonmarkov at gamma0*t=0: weak coupling (gamma0=1.0 <= tau/2=2.5) not supported"),
+    (["jc-nonmarkov", "--sweep=-1:0:2"], "jc-nonmarkov at gamma0*t=-1: negative time t=-1.0"),
+    (["sudden-transition", "--param", "c1=2"],
+     "sudden-transition at gamma*t=0: invalid correlation triple (2.0, -0.6, 0.6):"
+     " negative eigenvalue -2.500e-01 below -1e-12"),
+    (["sudden-transition", "--param", "gamma=-1"],
+     "sudden-transition at gamma*t=0: gamma and t must be nonnegative"),
+    (["random-field", "--sweep", "0:1:3", "--param", "p1=1.5"],
+     "random-field at g*t=0: p1=1.5 outside [0, 1]"),
+    (["werner-qubit", "--sweep", "0:2:3"], "werner-qubit at f=2: f=2.0 outside [0, 1]"),
+    (["qubit-qutrit", "--param", "alpha=0.6"],
+     "qubit-qutrit at gamma=0: negative weight among alpha=0.6, beta=-0.06666666666666665,"
+     " gamma=0.0"),
+    (["one-sided-pd", "--param", "b=0.5"],
+     "one-sided-pd at p=0: weights b=0.5 and d=0.3 must sum to 1"),
+])
+def test_sweep_errors_name_the_first_failing_x(capsys, argv, line):
+    code, out, err = run_cli(capsys, "scenario", *argv)
+    assert (code, out, err) == (1, "", f"usage error: {line}\n")
+
+
+def test_sweep_error_is_the_first_x_to_fail_any_check():
+    # the first check fails from x=0.75 on; x=0.5 passes it but fails the second check
+    def build(xs, p):
+        require(xs < 0.7, "first check at {}", xs)
+        require(xs < 0.3, "second check at {}", xs)
+        return []
+
+    sc = scenarios._Scenario(sweep=(0.0, 1.0, 5), params={}, build=build, default_obs=None)
+    with pytest.raises(ScenarioError) as info:
+        scenarios._build("toy", sc, np.linspace(0.0, 1.0, 5), {})
+    assert str(info.value) == "toy at x=0.5: second check at 0.5"
+
+
+def test_cached_parser_is_reentrant(capsys):
+    # one parser serves every call in a process; nothing parsed in one call reaches the next
+    argv = ["scenario", "pd-markov", "--sweep", "0:1:2", "--grid", "8"]
+    code, out, _ = run_cli(capsys, *argv, "--param", "c1=-0.7")
+    assert code == 0 and "# params: c1=-0.7 c2=-0.8 c3=-0.8\n" in out
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "# params: c1=-0.8 c2=-0.8 c3=-0.8\n" in out
+    assert "# seed: 0 grid: 8 restarts: 8\n" in out
+    code, out, err = run_cli(capsys, "scenario", "pd-markov", "--sweep", "0:1.5:4")
+    assert (code, out) == (1, "") and err.startswith("usage error: pd-markov at p=1.5")
+    code, out, _ = run_cli(capsys, "scenario", "pd-markov", "--sweep", "0:1:2")
+    assert code == 0 and "# seed: 0 grid: 16 restarts: 8\n" in out
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)

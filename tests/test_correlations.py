@@ -16,6 +16,7 @@ from quncert.correlations import (
     classical_correlations,
     concurrence,
     concurrence_x,
+    concurrences,
     discord,
     holevo_quantity,
 )
@@ -473,6 +474,15 @@ def test_concurrence_matches_x_formula():
     for _ in range(100):
         rho = random_x_state(np_rng)
         assert abs(concurrence(rho) - concurrence_x(rho)) <= 1e-9
+
+
+def test_stacked_concurrences_equal_scalar_concurrence_bit_for_bit():
+    rng = np.random.default_rng(41)
+    rhos = [random_density(rng, (2, 2)) for _ in range(20)]
+    rhos += [bell_diagonal(c, -c, 0.5) for c in np.linspace(-0.5, 0.5, 7)]
+    rhos += [bell_like(a) for a in (0.0, 0.3, 1.0)] + [singlet(), werner(2, 0.2)]
+    stacked = concurrences(np.array([r.mat for r in rhos]))
+    assert [float(c) for c in stacked] == [concurrence(r) for r in rhos]
 
 
 def test_concurrence_separable_mixture():

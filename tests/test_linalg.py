@@ -4,6 +4,7 @@ import pytest
 from quncert.linalg import (
     PAULI_Z,
     DensityMatrix,
+    StateError,
     eig_hermitian,
     kron,
     partial_trace,
@@ -44,6 +45,17 @@ def test_kron_index_convention():
             for k in range(4):
                 for l in range(2):
                     assert abs(out[i * 4 + k, j * 2 + l] - a[i, j] * b[k, l]) < 1e-12
+
+
+def test_kron_broadcasts_leading_axes_bit_for_bit():
+    a = np_rng.normal(size=(5, 2, 3)) + 1j * np_rng.normal(size=(5, 2, 3))
+    b = np_rng.normal(size=(4, 2)) + 1j * np_rng.normal(size=(4, 2))
+    out = kron(a, b)
+    assert out.shape == (5, 8, 6)
+    for i in range(5):
+        assert out[i].tobytes() == np.kron(a[i], b).tobytes()
+    u, v = np_rng.normal(size=3) + 1j * np_rng.normal(size=3), np_rng.normal(size=2)
+    assert kron(u, v).tobytes() == np.kron(u, v.astype(complex)).tobytes()
 
 
 def test_partial_trace_singlet():
@@ -174,6 +186,46 @@ def test_validate_rank_deficient_spectrum():
     rho = bell_diagonal(1.0, -0.6, 0.6)
     w = np.sort(np.linalg.eigvalsh(rho.mat))
     assert np.abs(w - [0.0, 0.0, 0.2, 0.8]).max() < 1e-12
+
+
+def _near_singular(rng, d, rank):
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def test_validate_stack_equals_each_state_alone():
+    # rank-deficient states put roundoff-negative eigenvalues through the clip branch
+    rng = np.random.default_rng(11)
+    mats = np.array([_near_singular(rng, 6, 1 + k % 5) for k in range(40)])
+    states = validate_density(mats, (2, 3), tol=1e-9)
+    assert isinstance(states, list) and len(states) == 40
+    clipped = 0
+    for m, rho in zip(mats, states):
+        alone = validate_density(m, (2, 3), tol=1e-9)
+        assert rho.dims == alone.dims and rho.mat.tobytes() == alone.mat.tobytes()
+        clipped += np.linalg.eigvalsh(m)[0] < 0.0
+        with pytest.raises(ValueError):
+            rho.mat[0, 0] = 0.0
+    assert 0 < clipped < 40
+
+
+@pytest.mark.parametrize("at, spoil, message", [
+    (2, lambda m: m * 1.5, "trace deviates from 1 by 5.000e-01 (tol 1e-09)"),
+    (3, lambda m: m + np.triu(np.full((4, 4), 0.1), 1),
+     "not Hermitian within 1e-09 (deviation 1.000e-01)"),
+    (1, lambda m: np.diag([0.5, 0.6, 0.0, -0.1]), "negative eigenvalue -1.000e-01 below -1e-09"),
+])
+def test_validate_stack_names_first_failing_state(at, spoil, message):
+    mats = np.array([np.eye(4) / 4] * 5, dtype=complex)
+    mats[at] = spoil(mats[at])
+    mats[4] = np.diag([1.1, 0.0, 0.0, -0.1])  # a later state fails too
+    with pytest.raises(StateError) as info:
+        validate_density(mats, (2, 2))
+    assert info.value.index == at and str(info.value) == message
+    with pytest.raises(StateError) as alone:
+        validate_density(mats[at], (2, 2))
+    assert alone.value.index == 0 and str(alone.value) == message
 
 
 def test_density_matrix_immutable():
