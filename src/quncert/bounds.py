@@ -16,8 +16,9 @@ which takes a stack of states: S(AB), S(A) and S(B) each from one stacked
 projectors of every state's X and Z eigenbases, stacked, U_A = H(X) + H(Z)
 from the row sums of those spectra, c from one stacked overlap product of the
 eigenbases, and the two-qubit concurrence from one stacked ``eigvals``.
-uncertainty_sum, single_system_bound, complementarity, concurrence and the
-scalar entropies compute the same values state by state, as references.
+complementarity and concurrence are the N = 1 case of those two formulas. The
+other scalar functions are references; concurrence_x, closed-form values of c
+and measure_on_A, which builds each branch explicitly, are independent oracles.
 """
 
 from __future__ import annotations
@@ -64,12 +65,16 @@ def observable_measurement(obs: Observable) -> ProjectiveMeasurement:
     return ProjectiveMeasurement.from_basis(obs.eigensystem.vectors)
 
 
+def _complementarities(bases: np.ndarray) -> np.ndarray:
+    """c = max_(i,j) |<x_i|z_j>|^2 of each pair of eigenbases (N, 2, d, d)."""
+    return (np.abs(adjoint(bases[:, 0]) @ bases[:, 1]) ** 2).max(axis=(-2, -1))
+
+
 def complementarity(x: Observable, z: Observable) -> float:
     """c = max_(i,j) |<x_i|z_j>|^2; lies in [1/d, 1]."""
     if x.dim != z.dim:
         raise ValueError(f"observable dimensions differ: {x.dim} vs {z.dim}")
-    overlaps = np.abs(x.eigensystem.vectors.conj().T @ z.eigensystem.vectors) ** 2
-    return float(overlaps.max())
+    return float(_complementarities(np.array([[x.eigensystem.vectors, z.eigensystem.vectors]]))[0])
 
 
 def _max_element_trace(povm, d: int, tol: float = 1e-9) -> float:
@@ -181,7 +186,7 @@ def _reports(rhos, xs, zs, classical) -> list[BoundReport]:
     u = (s_post[:, 0] - s_b) + (s_post[:, 1] - s_b)
     u_a = spectrum_entropies(mu.sum(axis=-1)).sum(axis=-1)
     s_cond, mutual = s_ab - s_b, s_a + s_b - s_ab
-    cs = (np.abs(adjoint(bases[:, 0]) @ bases[:, 1]) ** 2).max(axis=(-2, -1)).tolist()
+    cs = _complementarities(bases).tolist()
     con = concurrences(mats).tolist() if dims == (2, 2) else [None] * len(rhos)
     reports = []
     for i, c in enumerate(cs):

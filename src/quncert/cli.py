@@ -264,10 +264,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_info(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ScenarioError, StateSpecError, ObservableFormatError, ObservableDimensionError) as exc:
+    except (_UsageError, ScenarioError, StateSpecError, ObservableFormatError,
+            ObservableDimensionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -20,15 +20,15 @@ value is the kernel's value at the basis returned. A state's value is the
 same in any stack, so :func:`classical_correlations` over a sweep or a
 ``verify`` chunk equals :func:`classical_correlation` state by state.
 
-For a qubit A the starts are a Bloch-angle grid that lists each measurement
-once (n and -n are the same measurement, so theta covers only the first half
-of its range, and the pole theta = 0 appears once, at phi = 0), and the best
-3 grid points are polished: an X-state landscape can hold competing maxima at
-the poles and on the equator (Ali, Rau & Alber, PRA 81, 042105, 2010). For a
-qutrit A the landscape is not convex: the computational basis and seeded
-random bases are scored, and the best three are polished. The returned value
-is a certified lower estimate of the projective optimum: the search also finds
-the basis that attains it.
+For a qubit A the starts are the frame moves c = theta/2 (sin phi, -cos phi)
+of a Bloch-angle grid that lists each measurement once (n and -n are the same
+measurement, so theta covers only the first half of its range, and the pole
+theta = 0 appears once, at phi = 0), and the best 3 are polished: an X-state
+landscape can hold competing maxima at the poles and on the equator (Ali, Rau
+& Alber, PRA 81, 042105, 2010). For a qutrit A the landscape is not convex:
+the computational basis and seeded random bases are scored, and the best three
+are polished. The returned value is a certified lower estimate of the
+projective optimum: the search also finds the basis that attains it.
 """
 
 from __future__ import annotations
@@ -300,18 +300,6 @@ def _search(rhos, starts: np.ndarray, keep: int, iters: int):
     return fu[np.arange(n), top], u[np.arange(n), top]
 
 
-def _bloch_unitary(angles: np.ndarray) -> np.ndarray:
-    """The basis of the measurement (1 +- n.sigma)/2 for Bloch angles (theta, phi) on the last axis.
-
-    It is the closed form of the qubit frame's moves, and builds the grid of
-    starts far faster than their eigendecompositions.
-    """
-    c, s = np.cos(angles[..., 0] / 2.0), np.sin(angles[..., 0] / 2.0)
-    e = np.exp(1j * angles[..., 1])
-    rows = [np.stack([c, -e.conj() * s], axis=-1), np.stack([e * s, c], axis=-1)]
-    return np.stack(rows, axis=-2)
-
-
 @functools.lru_cache(maxsize=4)
 def _starts(dA: int, cfg: OptimizerConfig) -> np.ndarray:
     """The read-only start bases (S, dA, dA) of an A side of dimension dA, built once per cfg."""
@@ -321,8 +309,9 @@ def _starts(dA: int, cfg: OptimizerConfig) -> np.ndarray:
         g = cfg.grid_points
         thetas = np.linspace(0.0, np.pi, g)[: (g + 1) // 2]
         phis = np.linspace(0.0, 2.0 * np.pi, g, endpoint=False)
-        grid = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
-        starts = _bloch_unitary(np.delete(grid, np.s_[1:g], axis=0))
+        theta, phi = np.meshgrid(thetas, phis, indexing="ij")
+        c = 0.5 * np.stack([theta * np.sin(phi), -theta * np.cos(phi)], axis=-1).reshape(-1, 2)
+        starts = _FRAMES[2].moves(np.delete(c, np.s_[1:g], axis=0))
     elif dA == 3:
         # the computational-basis start hits the symmetric optima exactly
         rng = np.random.default_rng(cfg.seed)
@@ -403,19 +392,15 @@ def _check_two_qubit(rho: DensityMatrix):
 def concurrence(rho: DensityMatrix) -> float:
     """Two-qubit concurrence from the spin-flipped-spectrum construction."""
     _check_two_qubit(rho)
-    m = rho.mat @ _SPIN_FLIP @ rho.mat.conj() @ _SPIN_FLIP
-    ev = np.sort(np.linalg.eigvals(m).real)[::-1]
-    # the spectrum is nonnegative in exact arithmetic; suppress roundoff noise
-    # so that rank-deficient states do not leak spurious square roots
-    ev = np.where(ev > ev[0] * 1e-12, ev, 0.0)
-    mus = np.sqrt(ev)
-    return float(max(0.0, mus[0] - mus[1] - mus[2] - mus[3]))
+    return float(concurrences(rho.mat[None])[0])
 
 
 def concurrences(mats: np.ndarray) -> np.ndarray:
     """concurrence of each matrix of a two-qubit stack (N, 4, 4), with one stacked ``eigvals``."""
     m = mats @ _SPIN_FLIP @ mats.conj() @ _SPIN_FLIP
     ev = np.sort(np.linalg.eigvals(m).real, axis=-1)[:, ::-1]
+    # the spectrum is nonnegative in exact arithmetic; suppress roundoff noise
+    # so that rank-deficient states do not leak spurious square roots
     ev = np.where(ev > ev[:, :1] * 1e-12, ev, 0.0)
     mus = np.sqrt(ev)
     gap = mus[:, 0] - mus[:, 1] - mus[:, 2] - mus[:, 3]

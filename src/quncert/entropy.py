@@ -37,11 +37,6 @@ def spectrum_entropies(w) -> np.ndarray:
     return -np.sum(xlog2x(np.where(w < 0.0, 0.0, w)), axis=-1)
 
 
-def entropy_of_spectrum(w: np.ndarray) -> float:
-    """-sum w log2 w of one spectrum after clipping roundoff-negative values to zero."""
-    return float(spectrum_entropies(w))
-
-
 def shannon(probs, tol: float = PROB_TOL) -> float:
     """Shannon entropy in bits of a probability distribution."""
     p = np.asarray(probs, dtype=float)
@@ -49,7 +44,7 @@ def shannon(probs, tol: float = PROB_TOL) -> float:
         raise ValueError(f"probabilities outside [0, 1]: {p}")
     if abs(p.sum() - 1.0) > tol:
         raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-    return entropy_of_spectrum(p)
+    return float(spectrum_entropies(p))
 
 
 def _mat(rho) -> np.ndarray:
@@ -58,7 +53,7 @@ def _mat(rho) -> np.ndarray:
 
 def von_neumann(rho) -> float:
     """Von Neumann entropy in bits; zero for pure states."""
-    return entropy_of_spectrum(np.linalg.eigvalsh(_mat(rho)))
+    return float(spectrum_entropies(np.linalg.eigvalsh(_mat(rho))))
 
 
 def conditional_entropy(rho: DensityMatrix) -> float:

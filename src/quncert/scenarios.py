@@ -196,18 +196,20 @@ _REGISTRY: dict[str, _Scenario] = {
 SCENARIO_NAMES = tuple(_REGISTRY)
 
 
-def scenario_defaults(name: str) -> tuple[tuple[float, float, int], dict[str, float], tuple[str, ...], str]:
+def _scenario(name: str) -> _Scenario:
     if name not in _REGISTRY:
         raise ScenarioError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
-    sc = _REGISTRY[name]
+    return _REGISTRY[name]
+
+
+def scenario_defaults(name: str) -> tuple[tuple[float, float, int], dict[str, float], tuple[str, ...], str]:
+    sc = _scenario(name)
     return sc.sweep, dict(sc.params), sc.notes, sc.sweep_label
 
 
 def run_scenario(spec: ScenarioSpec, cfg: OptimizerConfig | None = None) -> list[TimeSeriesRow]:
     """Evaluate the named scenario over its sweep; rows come back ordered by x."""
-    if spec.name not in _REGISTRY:
-        raise ScenarioError(f"unknown scenario {spec.name!r}; choose from {', '.join(SCENARIO_NAMES)}")
-    sc = _REGISTRY[spec.name]
+    sc = _scenario(spec.name)
     params = dict(sc.params)
     for key, value in spec.params.items():
         if key not in params:

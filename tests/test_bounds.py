@@ -109,6 +109,11 @@ def test_complementarity_fourier_qutrit():
     assert abs(complementarity(comp, fz) - 1 / 3) < 1e-12
 
 
+def test_complementarity_rejects_observables_of_different_dimensions():
+    with pytest.raises(ValueError, match="observable dimensions differ: 2 vs 3"):
+        complementarity(SX, random_observable(np_rng, 3))
+
+
 def test_complementarity_range():
     for _ in range(50):
         x = random_observable(np_rng, 3)

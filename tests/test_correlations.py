@@ -11,6 +11,7 @@ from quncert.correlations import (
     _polish,
     _search,
     _search_plan,
+    _starts,
     bell_diagonal_classical_closed,
     classical_correlation,
     classical_correlations,
@@ -28,7 +29,7 @@ from quncert.entropy import (
     mutual_information,
     von_neumann,
 )
-from quncert.linalg import PAULI_Z, kron, partial_trace, validate_density
+from quncert.linalg import PAULIS, PAULI_Z, kron, partial_trace, validate_density
 from quncert.scenarios import ScenarioSpec, random_density, run_scenario
 from quncert.states import bell_diagonal, bell_like, singlet, werner
 
@@ -404,6 +405,22 @@ def test_optimizer_grid_convergence():
         assert abs(j64 - j16) <= 1e-9
 
 
+def test_qubit_starts_are_the_bloch_grid_measurements():
+    # the reference is the closed form: theta over the first half of the 16-point
+    # grid, 16 values of phi, and the pole theta = 0 once, at phi = 0; projectors
+    # are compared, so the phases of the basis columns do not matter
+    thetas = np.linspace(0.0, np.pi, 16)[:8]
+    phis = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    angles = [(0.0, 0.0)] + [(t, f) for t in thetas[1:] for f in phis]
+    starts = _starts(2, OptimizerConfig())
+    assert starts.shape == (113, 2, 2)
+    for (t, f), got in zip(angles, basis_projectors(starts)):
+        n = (np.sin(t) * np.cos(f), np.sin(t) * np.sin(f), np.cos(t))
+        n_sigma = sum(a * s for a, s in zip(n, PAULIS))
+        want = np.array([np.eye(2) + n_sigma, np.eye(2) - n_sigma]) / 2.0
+        assert np.abs(got - want).max() <= 1e-14
+
+
 def test_correlation_bounds():
     for _ in range(25):
         rho = random_density(np_rng, (2, 2))
@@ -474,6 +491,11 @@ def test_concurrence_matches_x_formula():
     for _ in range(100):
         rho = random_x_state(np_rng)
         assert abs(concurrence(rho) - concurrence_x(rho)) <= 1e-9
+
+
+def test_concurrence_rejects_a_qubit_qutrit_state():
+    with pytest.raises(ValueError, match=r"two-qubit state, got dims \(2, 3\)"):
+        concurrence(random_density(np_rng, (2, 3)))
 
 
 def test_stacked_concurrences_equal_scalar_concurrence_bit_for_bit():

