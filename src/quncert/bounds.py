@@ -11,14 +11,14 @@ where c is the maximal squared eigenvector overlap, J_A the classical
 correlation and D_A the A-side discord.
 
 evaluate_bounds and evaluate_bounds_many build their reports on one path,
-which takes a stack of states: S(AB), S(A) and S(B) each from one stacked
-``eigvalsh``, U from one :func:`quncert.entropy.branch_spectra` call over the
-projectors of every state's X and Z eigenbases, stacked, U_A = H(X) + H(Z)
-from the row sums of those spectra, c from one stacked overlap product of the
-eigenbases, and the two-qubit concurrence from one stacked ``eigvals``.
-complementarity and concurrence are the N = 1 case of those two formulas. The
-other scalar functions are references; concurrence_x, closed-form values of c
-and measure_on_A, which builds each branch explicitly, are independent oracles.
+which takes a stack of states: S(AB), S(A) and S(B) from entropy.entropies,
+U and U_A = H(X) + H(Z) from one entropy.branch_spectra call over every
+state's X and Z eigenprojectors, read by entropy.branch_entropies, c from one
+stacked overlap product of the eigenbases, and the two-qubit concurrence from
+one stacked ``eigvals``. complementarity, concurrence, uncertainty_sum and the
+scalar entropies are the N = 1 case of those formulas. The independent
+oracles are measure_on_A, which builds each branch explicitly, the Shannon
+entropy of its outcome probabilities, concurrence_x and closed forms.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import numpy as np
 
 from .correlations import STACK_STATES, OptimizerConfig, clamp_discord, concurrences
 from .correlations import classical_correlation, classical_correlations
-from .entropy import ProjectiveMeasurement, basis_projectors, branch_matrix, branch_spectra
-from .entropy import measured_conditional_entropy, spectrum_entropies, von_neumann
-from .linalg import DensityMatrix, EigenSystem, adjoint, eig_hermitian, ptrace_mat, stack_states
+from .entropy import ProjectiveMeasurement, basis_projectors, branch_entropies, branch_matrix
+from .entropy import branch_spectra, entropies, measured_conditional_entropy, von_neumann
+from .linalg import DensityMatrix, EigenSystem, adjoint, eig_hermitian, stack_states
 
 DEGENERACY_GAP = 1e-9
 BOUND_TOL = 1e-9
@@ -178,13 +178,12 @@ def _reports(rhos, xs, zs, classical) -> list[BoundReport]:
     estimate that enters the discord, so D - J = I - 2J stays internally consistent.
     """
     dims, mats = stack_states(rhos)
-    s_ab, s_a, s_b = (spectrum_entropies(np.linalg.eigvalsh(m))
-                      for m in (mats, ptrace_mat(mats, dims, "A"), ptrace_mat(mats, dims, "B")))
+    s_ab, s_a, s_b = (entropies(rhos, part) for part in ("AB", "A", "B"))
     bases = np.array([[x.eigensystem.vectors, z.eigensystem.vectors] for x, z in zip(xs, zs)])
     mu = branch_spectra(branch_matrix(rhos), basis_projectors(bases))  # (N, 2, K, dB)
-    s_post = spectrum_entropies(mu.reshape(len(rhos), 2, -1))
+    s_post, h = branch_entropies(mu)
     u = (s_post[:, 0] - s_b) + (s_post[:, 1] - s_b)
-    u_a = spectrum_entropies(mu.sum(axis=-1)).sum(axis=-1)
+    u_a = h.sum(axis=-1)
     s_cond, mutual = s_ab - s_b, s_a + s_b - s_ab
     cs = _complementarities(bases).tolist()
     con = concurrences(mats).tolist() if dims == (2, 2) else [None] * len(rhos)

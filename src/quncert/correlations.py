@@ -40,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import ProjectiveMeasurement, basis_projectors, branch_matrix, branch_spectra
-from .entropy import mutual_information, spectrum_entropies, xlog2x
-from .linalg import PAULI_Y, DensityMatrix, kron, ptrace_mat, stack_states
+from .entropy import ProjectiveMeasurement, basis_projectors, branch_entropies, branch_matrix
+from .entropy import branch_spectra, entropies, mutual_information, xlog2x
+from .linalg import PAULI_Y, DensityMatrix, kron
 
 DISCORD_NOISE = 1e-6
 X_FORM_TOL = 1e-10
@@ -90,26 +90,19 @@ class OptimizerConfig:
                              f" 1 <= restarts <= 4096, seed >= 0; got {', '.join(bad)}")
 
 
-def _memory_entropies(rhos) -> np.ndarray:
-    """S(B) of each state of a sequence of one dims."""
-    dims, mats = stack_states(rhos)
-    return spectrum_entropies(np.linalg.eigvalsh(ptrace_mat(mats, dims, "B")))
-
-
 def _holevo(s_b, mu: np.ndarray):
-    """S(B) - sum_k p_k S(rho_B|k) from branch spectra mu of shape (..., K, dB).
+    """S(B) - sum_k p_k S(rho_B|k) = S(B) - S(post) + H(X) from branch spectra mu (..., K, dB).
 
     s_b is S(B), a float or an array that broadcasts against mu's leading axes.
-
-    Uses the unnormalised-spectrum identity p S(rho_B|k) = -sum mu log2 mu + p log2 p.
     """
-    return s_b + xlog2x(mu).sum(axis=(-2, -1)) - xlog2x(mu.sum(axis=-1)).sum(axis=-1)
+    s_post, h = branch_entropies(mu)
+    return s_b - s_post + h
 
 
 def holevo_quantity(rho: DensityMatrix, meas: ProjectiveMeasurement) -> float:
     """S(rho_B) - sum_j p_j S(rho_B|j) for a measurement on A."""
     mu = branch_spectra(branch_matrix(rho), meas.projectors)
-    return float(_holevo(_memory_entropies([rho])[0], mu))
+    return float(_holevo(entropies([rho], "B")[0], mu))
 
 
 class _Frame:
@@ -277,7 +270,7 @@ def _search(rhos, starts: np.ndarray, keep: int, iters: int):
     """
     n = len(rhos)
     m = branch_matrix(rhos)
-    s_b = _memory_entropies(rhos)
+    s_b = entropies(rhos, "B")
     start_projectors = basis_projectors(starts)
     scores = np.array([_holevo(s, branch_spectra(mi, start_projectors)) for s, mi in zip(s_b, m)])
     best = np.argsort(-scores, axis=1, kind="stable")[:, :keep]

@@ -1,11 +1,13 @@
 """Shannon and von Neumann entropies, projective measurements on subsystem A,
 and the conditional entropies built from them. All logarithms are base 2.
 
-:func:`branch_spectra` is the one kernel that forms the memory branches
-Tr_A[(P_k x 1) rho] of a measurement on A. It takes the state as the matrix of
-:func:`branch_matrix`, so that a whole stack of projectors, for one state or
-for a stack of states, is one ``matmul``; a qubit memory's 2x2 branch spectra
-are taken in closed form, larger ones with ``eigvalsh``.
+Each entropy has one path. :func:`entropies` gives S(AB), S(A) or S(B) of a
+stack of states from one ``eigvalsh``. :func:`branch_spectra` is the one
+kernel that forms the memory branches Tr_A[(P_k x 1) rho] of a measurement on
+A, one ``matmul`` for a stack of projectors of one state or of a stack of
+states; a qubit memory's 2x2 branch spectra are taken in closed form, larger
+ones with ``eigvalsh``. :func:`branch_entropies` reads S(post) and H(X) off
+them for U, U_A and the Holevo quantity.
 """
 
 from __future__ import annotations
@@ -47,27 +49,26 @@ def shannon(probs, tol: float = PROB_TOL) -> float:
     return float(spectrum_entropies(p))
 
 
-def _mat(rho) -> np.ndarray:
-    return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-
-
 def von_neumann(rho) -> float:
     """Von Neumann entropy in bits; zero for pure states."""
-    return float(spectrum_entropies(np.linalg.eigvalsh(_mat(rho))))
+    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    return float(spectrum_entropies(np.linalg.eigvalsh(mat)))
+
+
+def entropies(rhos, part: str) -> np.ndarray:
+    """S of each state of a sequence of one dims, or of its part "A" or "B", from one ``eigvalsh``."""
+    dims, mats = stack_states(rhos)
+    return spectrum_entropies(np.linalg.eigvalsh(mats if part == "AB" else ptrace_mat(mats, dims, part)))
 
 
 def conditional_entropy(rho: DensityMatrix) -> float:
     """S(AB) - S(B); negative values witness entanglement."""
-    s_ab = von_neumann(rho)
-    s_b = von_neumann(ptrace_mat(rho.mat, rho.dims, "B"))
-    return s_ab - s_b
+    return float(entropies([rho], "AB")[0] - entropies([rho], "B")[0])
 
 
 def mutual_information(rho: DensityMatrix) -> float:
     """Total correlations S(A) + S(B) - S(AB) between the two subsystems."""
-    s_a = von_neumann(ptrace_mat(rho.mat, rho.dims, "A"))
-    s_b = von_neumann(ptrace_mat(rho.mat, rho.dims, "B"))
-    return s_a + s_b - von_neumann(rho)
+    return float(entropies([rho], "A")[0] + entropies([rho], "B")[0] - entropies([rho], "AB")[0])
 
 
 class ProjectiveMeasurement:
@@ -198,16 +199,22 @@ def branch_spectra(m: np.ndarray, projectors) -> np.ndarray:
     return np.maximum(spectra, 0.0)
 
 
+def branch_entropies(mu: np.ndarray):
+    """S(post) = -sum mu log2 mu and H(X) = -sum p log2 p of branch spectra mu (..., K, dB).
+
+    p_k is row k's sum. Rank-1 projectors make mu the spectrum of the post-measurement state.
+    """
+    return -xlog2x(mu).sum(axis=(-2, -1)), -xlog2x(mu.sum(axis=-1)).sum(axis=-1)
+
+
 def measured_conditional_entropy(rho: DensityMatrix, meas: ProjectiveMeasurement) -> float:
     """Conditional entropy S(post-measurement state) - S(B) of a rank-1 measurement on A.
 
-    With rank-1 projectors the post-measurement state sum_k P_k x rho_B,k has
-    the branch spectra as its spectrum, so S(X|B) = -sum mu log2 mu - S(B).
     Equals sum_i p_i S(rho_B|i) + H(P) - S(rho_B); the test suite compares the
     two routes, the second through :func:`measure_on_A`.
     """
     ranks = np.trace(meas.projectors, axis1=-2, axis2=-1).real
     if np.abs(ranks - 1.0).max() > PROB_TOL:
         raise ValueError(f"measured conditional entropy needs rank-1 projectors, got {ranks}")
-    s_post = float(-xlog2x(branch_spectra(branch_matrix(rho), meas.projectors)).sum())
-    return s_post - von_neumann(ptrace_mat(rho.mat, rho.dims, "B"))
+    s_post, _ = branch_entropies(branch_spectra(branch_matrix(rho), meas.projectors))
+    return float(s_post - entropies([rho], "B")[0])

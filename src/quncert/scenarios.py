@@ -249,13 +249,10 @@ def random_density(rng: np.random.Generator, dims: tuple[int, int]) -> DensityMa
     return validate_density(mat / np.trace(mat).real, dims, tol=1e-9)
 
 
-def random_observable(rng: np.random.Generator, d: int, min_gap: float = 1e-6) -> Observable:
-    """Random Hermitian observable, resampled until comfortably non-degenerate."""
-    while True:
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = (g + g.conj().T) / 2.0
-        if np.diff(np.linalg.eigvalsh(h)).min() > min_gap:
-            return Observable(h)
+def random_observable(rng: np.random.Generator, d: int) -> Observable:
+    """Random Hermitian (g + g^+)/2 of one complex Gaussian g; a degenerate draw raises ValueError."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return Observable((g + g.conj().T) / 2.0)
 
 
 @dataclass(frozen=True)

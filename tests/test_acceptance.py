@@ -16,7 +16,7 @@ from quncert.entropy import (
     shannon,
     von_neumann,
 )
-from quncert.linalg import PAULI_X, PAULI_Z, ptrace_mat, validate_density
+from quncert.linalg import PAULI_X, PAULI_Z, ptrace_mat
 from quncert.scenarios import (
     ScenarioSpec,
     random_density,
@@ -26,6 +26,8 @@ from quncert.scenarios import (
 )
 from quncert.states import bell_diagonal, isotropic, qubit_qudit, werner
 
+from helpers import random_bell_triple, random_x_state, xlog2
+
 SX = Observable(PAULI_X)
 SZ = Observable(PAULI_Z)
 
@@ -33,33 +35,6 @@ SZ = Observable(PAULI_Z)
 def report(label: str, ok: bool, detail: str):
     print(f"\nACCEPTANCE {label}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{label}: {detail}"
-
-
-def xlog2(v):
-    return v * np.log2(v) if v > 0 else 0.0
-
-
-def random_bell_triple(rng):
-    while True:
-        c = rng.uniform(-1, 1, size=3)
-        lams = [
-            (1 + c[0] - c[1] + c[2]) / 4,
-            (1 - c[0] + c[1] + c[2]) / 4,
-            (1 + c[0] + c[1] - c[2]) / 4,
-            (1 - c[0] - c[1] - c[2]) / 4,
-        ]
-        if min(lams) >= 0:
-            return tuple(c)
-
-
-def random_x_state(rng):
-    d = rng.dirichlet(np.ones(4))
-    m = np.diag(d).astype(complex)
-    r14 = np.sqrt(d[0] * d[3]) * rng.random() * np.exp(2j * np.pi * rng.random())
-    r23 = np.sqrt(d[1] * d[2]) * rng.random() * np.exp(2j * np.pi * rng.random())
-    m[0, 3], m[3, 0] = r14, r14.conjugate()
-    m[1, 2], m[2, 1] = r23, r23.conjugate()
-    return validate_density(m, (2, 2))
 
 
 def test_criterion_1_inequality_fuzzing():

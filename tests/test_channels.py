@@ -12,27 +12,14 @@ from quncert.channels import (
     pd_closed_form,
     random_field_state,
 )
-from quncert.correlations import concurrence, discord, OptimizerConfig
+from quncert.correlations import concurrence, discord
 from quncert.entropy import mutual_information
 from quncert.linalg import PAULIS, kron, validate_density
 from quncert.states import bell_diagonal, bell_like, bell_mixture
 
+from helpers import FAST, random_bell_triple
+
 np_rng = np.random.default_rng(20240806)
-
-FAST = OptimizerConfig(grid_points=48, refine_iters=120)
-
-
-def random_bell_triple(rng):
-    while True:
-        c = rng.uniform(-1, 1, size=3)
-        lams = [
-            (1 + c[0] - c[1] + c[2]) / 4,
-            (1 - c[0] + c[1] + c[2]) / 4,
-            (1 + c[0] + c[1] - c[2]) / 4,
-            (1 - c[0] - c[1] - c[2]) / 4,
-        ]
-        if min(lams) >= 0:
-            return tuple(c)
 
 
 def pauli_triple(mat):

@@ -503,6 +503,24 @@ def test_verify_single_slack_is_the_scalar_single_system_route(dims):
     assert single == min(stacked) and abs(single - min(scalar)) <= 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_random_observable_draws_one_candidate(monkeypatch, d):
+    # verify's (seed, index) streams and the zero-discord inputs rest on one draw per observable
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for seed in range(20):
+        rng, fresh = np.random.default_rng((seed, d)), np.random.default_rng((seed, d))
+        obs = scenarios.random_observable(rng, d)
+        g = fresh.normal(size=(d, d)) + 1j * fresh.normal(size=(d, d))
+        assert np.array_equal(obs.mat, (g + g.conj().T) / 2.0)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+    assert calls == {"eigh": 20, "eigvalsh": 0}
+
+
 def test_ad_markov_at_zero_matches_static_state():
     from quncert.bounds import evaluate_bounds
     from quncert.observables import pauli_observable

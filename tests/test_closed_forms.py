@@ -11,14 +11,12 @@ from quncert.correlations import OptimizerConfig
 from quncert.observables import bundled_observable, pauli_observable, su3_pair
 from quncert.states import isotropic, qubit_qudit, werner
 
+from helpers import xlog2
+
 SX = pauli_observable(1)
 SZ = pauli_observable(3)
 
 QUTRIT_CFG = OptimizerConfig(restarts=8)
-
-
-def xlog2(v):
-    return v * np.log2(v) if v > 0 else 0.0
 
 
 def test_werner_qutrit_uncertainty_closed_form():

@@ -7,7 +7,6 @@ from quncert.correlations import (
     _FRAMES,
     _Frame,
     _holevo,
-    _memory_entropies,
     _polish,
     _search,
     _search_plan,
@@ -26,6 +25,7 @@ from quncert.entropy import (
     basis_projectors,
     branch_matrix,
     branch_spectra,
+    entropies,
     mutual_information,
     von_neumann,
 )
@@ -33,20 +33,9 @@ from quncert.linalg import PAULIS, PAULI_Z, kron, partial_trace, validate_densit
 from quncert.scenarios import ScenarioSpec, random_density, run_scenario
 from quncert.states import bell_diagonal, bell_like, singlet, werner
 
+from helpers import FAST, pauli_measurement, rand_unitary, random_x_state
+
 np_rng = np.random.default_rng(20240803)
-
-FAST = OptimizerConfig(grid_points=48, refine_iters=120)
-
-
-def pauli_measurement(sigma):
-    _, v = np.linalg.eigh(sigma)
-    return ProjectiveMeasurement.from_basis(v)
-
-
-def rand_unitary(n, rng):
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def binary_entropy(p):
@@ -256,7 +245,7 @@ def test_newton_lanes_match_one_lane_searches():
             # lane l searches states[idx[l]]; returns its bases, values, the lanes of every
             # derivative and value call, and each lane's derivative inputs and trial bases
             m = branch_matrix([states[i] for i in idx])
-            s_b = _memory_entropies([states[i] for i in idx])
+            s_b = entropies([states[i] for i in idx], "B")
             calls = {"derivatives": [], "value": []}
             seen = {kind: [[] for _ in idx] for kind in calls}
 
@@ -518,13 +507,3 @@ def test_concurrence_separable_mixture():
             mat += w[k] * np.outer(v, v.conj())
         rho = validate_density(mat, (2, 2))
         assert concurrence(rho) <= 1e-9
-
-
-def random_x_state(rng):
-    d = rng.dirichlet(np.ones(4))
-    m = np.diag(d).astype(complex)
-    r14 = np.sqrt(d[0] * d[3]) * rng.random() * np.exp(2j * np.pi * rng.random())
-    r23 = np.sqrt(d[1] * d[2]) * rng.random() * np.exp(2j * np.pi * rng.random())
-    m[0, 3], m[3, 0] = r14, r14.conjugate()
-    m[1, 2], m[2, 1] = r23, r23.conjugate()
-    return validate_density(m, (2, 2))

@@ -5,9 +5,11 @@ from quncert.correlations import holevo_quantity
 from quncert.entropy import (
     ProjectiveMeasurement,
     _spectrum_2x2,
+    branch_entropies,
     branch_matrix,
     branch_spectra,
     conditional_entropy,
+    entropies,
     measure_on_A,
     measured_conditional_entropy,
     mutual_information,
@@ -20,12 +22,9 @@ from quncert.linalg import PAULI_X, PAULI_Z, kron, partial_trace, ptrace_mat, va
 from quncert.states import bell_diagonal, singlet, werner
 from quncert.scenarios import random_density
 
+from helpers import pauli_measurement
+
 np_rng = np.random.default_rng(20240802)
-
-
-def pauli_measurement(sigma):
-    w, v = np.linalg.eigh(sigma)
-    return ProjectiveMeasurement.from_basis(v)
 
 
 def three_term_form(rho, meas):
@@ -221,6 +220,31 @@ def test_mutual_information_bell_diagonal():
 
 
 ALL_DIMS = [(d_a, d_b) for d_a in (2, 3) for d_b in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("dims", ALL_DIMS)
+def test_entropies_equal_von_neumann_state_by_state(dims):
+    # the stacked S pipeline against the scalar one, bit for bit, on mixed and pure states
+    rng = np.random.default_rng((20261019,) + dims)
+    rhos = [random_density(rng, dims) for _ in range(10)]
+    v = rng.normal(size=dims[0] * dims[1]) + 1j * rng.normal(size=dims[0] * dims[1])
+    rhos.append(validate_density(np.outer(v, v.conj()) / np.vdot(v, v).real, dims))
+    for part in ("AB", "A", "B"):
+        mats = [r.mat if part == "AB" else ptrace_mat(r.mat, dims, part) for r in rhos]
+        assert entropies(rhos, part).tolist() == [von_neumann(m) for m in mats]
+
+
+def test_branch_entropies_read_the_post_state_and_the_outcomes():
+    # S(post) and H(X) against measure_on_A's explicit post-measurement state and probabilities
+    rng = np.random.default_rng(20261020)
+    for dims in ALL_DIMS * 5:
+        rho = random_density(rng, dims)
+        g = rng.normal(size=(dims[0], dims[0])) + 1j * rng.normal(size=(dims[0], dims[0]))
+        meas = ProjectiveMeasurement.from_basis(np.linalg.qr(g)[0])
+        out = measure_on_A(rho, meas)
+        s_post, h = branch_entropies(branch_spectra(branch_matrix(rho), meas.projectors))
+        assert abs(s_post - von_neumann(out.post_state)) <= 1e-12
+        assert abs(h - shannon(out.probs)) <= 1e-12
 
 
 def random_measurement(d):
