@@ -10,8 +10,9 @@ state with memory B, the quantity U = S(X|B) + S(Z|B) is bounded below by
 where c is the maximal squared eigenvector overlap, J_A the classical
 correlation and D_A the A-side discord.
 
-evaluate_bounds and evaluate_bounds_many build their reports on one path,
-which takes a stack of states: S(AB), S(A) and S(B) from entropy.entropies,
+evaluate_bounds_many cuts its states into chunks of at most STACK_STATES.
+Every report comes from one path, which stacks its chunk once and passes the
+arrays to every kernel: S(AB), S(A) and S(B) from entropy.entropies,
 U and U_A = H(X) + H(Z) from one entropy.branch_spectra call over every
 state's X and Z eigenprojectors, read by entropy.branch_entropies, c from one
 stacked overlap product of the eigenbases, and the two-qubit concurrence from
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import STACK_STATES, OptimizerConfig, clamp_discord, concurrences
+from .correlations import OptimizerConfig, clamp_discord, concurrences
 from .correlations import classical_correlation, classical_correlations
 from .entropy import ProjectiveMeasurement, basis_projectors, branch_entropies, branch_matrix
 from .entropy import branch_spectra, entropies, measured_conditional_entropy, von_neumann
@@ -36,6 +37,8 @@ from .linalg import DensityMatrix, EigenSystem, adjoint, eig_hermitian, stack_st
 DEGENERACY_GAP = 1e-9
 BOUND_TOL = 1e-9
 BOUND_TOL_OPT = 1e-4
+# Most states evaluated in one stack; it bounds the J search's lane arrays on long sweeps.
+STACK_STATES = 128
 
 
 class ObservableDimensionError(ValueError):
@@ -178,9 +181,9 @@ def _reports(rhos, xs, zs, classical) -> list[BoundReport]:
     estimate that enters the discord, so D - J = I - 2J stays internally consistent.
     """
     dims, mats = stack_states(rhos)
-    s_ab, s_a, s_b = (entropies(rhos, part) for part in ("AB", "A", "B"))
+    s_ab, s_a, s_b = (entropies(mats, dims, part) for part in ("AB", "A", "B"))
     bases = np.array([[x.eigensystem.vectors, z.eigensystem.vectors] for x, z in zip(xs, zs)])
-    mu = branch_spectra(branch_matrix(rhos), basis_projectors(bases))  # (N, 2, K, dB)
+    mu = branch_spectra(branch_matrix(mats, dims), basis_projectors(bases))  # (N, 2, K, dB)
     s_post, h = branch_entropies(mu)
     u = (s_post[:, 0] - s_b) + (s_post[:, 1] - s_b)
     u_a = h.sum(axis=-1)
@@ -209,15 +212,15 @@ def evaluate_bounds(rho: DensityMatrix, x: Observable, z: Observable,
 def evaluate_bounds_many(rhos, xs, zs, cfg: OptimizerConfig | None = None) -> list[BoundReport]:
     """evaluate_bounds for each state of a sequence and its own observables xs[i], zs[i].
 
-    The states share one lock-step J search, and their reports are built in
-    stacks of at most STACK_STATES. Each report equals the one evaluate_bounds
-    gives for its state and observables.
+    The states go in chunks of at most STACK_STATES. Each chunk is one
+    lock-step J search and one stack of reports, and each report equals the
+    one evaluate_bounds gives for its state and observables.
     """
     if not len(rhos) == len(xs) == len(zs):
         raise ValueError(f"need one X and one Z per state; got {len(rhos)} states,"
                          f" {len(xs)} X and {len(zs)} Z observables")
     for rho, x, z in zip(rhos, xs, zs):
         _check_observables(rho.dA, x, z)
-    classical = classical_correlations(rhos, cfg)
-    return [r for lo in range(0, len(rhos), STACK_STATES)
-            for r in _reports(*(a[lo:lo + STACK_STATES] for a in (rhos, xs, zs, classical)))]
+    chunks = ([a[lo:lo + STACK_STATES] for a in (rhos, xs, zs)]
+              for lo in range(0, len(rhos), STACK_STATES))
+    return [r for c in chunks for r in _reports(*c, classical_correlations(c[0], cfg))]

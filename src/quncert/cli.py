@@ -124,8 +124,9 @@ def _build_parser() -> _Parser:
     sc.add_argument("name", choices=SCENARIO_NAMES)
     sc.add_argument("--sweep", help="start:stop:steps override")
     sc.add_argument("--param", action="append", metavar="K=V", help="parameter override")
-    sc.add_argument("--obs", help="builtin:i,j Pauli pair override")
-    sc.add_argument("--obs-file", nargs=2, metavar=("X", "Z"), help="observable matrix files")
+    obs = sc.add_mutually_exclusive_group()
+    obs.add_argument("--obs", help="builtin:i,j Pauli pair override")
+    obs.add_argument("--obs-file", nargs=2, metavar=("X", "Z"), help="observable matrix files")
     sc.add_argument("--out", help="output CSV path (default stdout)")
 
     ver = sub.add_parser(
@@ -136,8 +137,9 @@ def _build_parser() -> _Parser:
 
     info = sub.add_parser("info", parents=[optimizer], help="print the bound report of one state")
     info.add_argument("--state", required=True, help="state spec, e.g. werner:d=2,f=0.8")
-    info.add_argument("--obs", default="builtin:1,3")
-    info.add_argument("--obs-file", nargs=2, metavar=("X", "Z"))
+    obs = info.add_mutually_exclusive_group()
+    obs.add_argument("--obs", default="builtin:1,3")
+    obs.add_argument("--obs-file", nargs=2, metavar=("X", "Z"))
     return parser
 
 

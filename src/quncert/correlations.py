@@ -16,9 +16,9 @@ and Hessian in the frame, from one gemm and one ``eigh`` per branch
 (eigenvalue perturbation and the Daleckii-Krein formula), then a backtracking
 line search of the kernel along the shifted Newton step. A basis moves only
 on strict improvement, so the value never falls below its start, and every
-value is the kernel's value at the basis returned. A state's value is the
-same in any stack, so :func:`classical_correlations` over a sweep or a
-``verify`` chunk equals :func:`classical_correlation` state by state.
+value is the kernel's value at the basis returned. :func:`classical_correlations`
+searches what it is given as one stack, which its callers bound; a state's
+value is the same in any stack, so it equals :func:`classical_correlation`.
 
 For a qubit A the starts are the frame moves c = theta/2 (sin phi, -cos phi)
 of a Bloch-angle grid that lists each measurement once (n and -n are the same
@@ -42,13 +42,11 @@ import numpy as np
 
 from .entropy import ProjectiveMeasurement, basis_projectors, branch_entropies, branch_matrix
 from .entropy import branch_spectra, entropies, mutual_information, xlog2x
-from .linalg import PAULI_Y, DensityMatrix, kron
+from .linalg import PAULI_Y, DensityMatrix, kron, stack_states
 
 DISCORD_NOISE = 1e-6
 X_FORM_TOL = 1e-10
 _SPIN_FLIP = kron(PAULI_Y, PAULI_Y)
-# Most states searched in one lock-step stack; it bounds the lane arrays of long sweeps.
-STACK_STATES = 128
 # Newton polish: line-search fractions of the step, longest step, and the least
 # gain in bits a step must promise; below it only roundoff is left.
 LINE_STEPS = np.array([1.0, 0.25, 0.0625, 0.015625])
@@ -101,8 +99,8 @@ def _holevo(s_b, mu: np.ndarray):
 
 def holevo_quantity(rho: DensityMatrix, meas: ProjectiveMeasurement) -> float:
     """S(rho_B) - sum_j p_j S(rho_B|j) for a measurement on A."""
-    mu = branch_spectra(branch_matrix(rho), meas.projectors)
-    return float(_holevo(entropies([rho], "B")[0], mu))
+    mu = branch_spectra(branch_matrix(rho.mat, rho.dims), meas.projectors)
+    return float(_holevo(entropies(rho.mat, rho.dims, "B"), mu))
 
 
 class _Frame:
@@ -269,8 +267,8 @@ def _search(rhos, starts: np.ndarray, keep: int, iters: int):
     state's best value and its basis.
     """
     n = len(rhos)
-    m = branch_matrix(rhos)
-    s_b = entropies(rhos, "B")
+    dims, mats = stack_states(rhos)
+    m, s_b = branch_matrix(mats, dims), entropies(mats, dims, "B")
     start_projectors = basis_projectors(starts)
     scores = np.array([_holevo(s, branch_spectra(mi, start_projectors)) for s, mi in zip(s_b, m)])
     best = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
@@ -332,14 +330,12 @@ def _search_plan(dA: int, cfg: OptimizerConfig) -> dict:
 def classical_correlations(rhos, cfg: OptimizerConfig | None = None) -> np.ndarray:
     """classical_correlation of each state of a sequence of one dims, searched in lock-step.
 
-    The states are searched in stacks of at most STACK_STATES. A state's value
-    does not depend on its stack, so the cap only bounds memory.
+    The states are searched as one stack, whose lane arrays grow with it, so
+    callers bound the stack. A state's value does not depend on its stack.
     """
     if not rhos:
         return np.empty(0)
-    plan = _search_plan(rhos[0].dA, cfg or OptimizerConfig())
-    return np.concatenate([_search(rhos[lo:lo + STACK_STATES], **plan)[0]
-                           for lo in range(0, len(rhos), STACK_STATES)])
+    return _search(rhos, **_search_plan(rhos[0].dA, cfg or OptimizerConfig()))[0]
 
 
 def classical_correlation(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:

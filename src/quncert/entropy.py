@@ -1,13 +1,14 @@
 """Shannon and von Neumann entropies, projective measurements on subsystem A,
 and the conditional entropies built from them. All logarithms are base 2.
 
-Each entropy has one path. :func:`entropies` gives S(AB), S(A) or S(B) of a
-stack of states from one ``eigvalsh``. :func:`branch_spectra` is the one
-kernel that forms the memory branches Tr_A[(P_k x 1) rho] of a measurement on
-A, one ``matmul`` for a stack of projectors of one state or of a stack of
-states; a qubit memory's 2x2 branch spectra are taken in closed form, larger
-ones with ``eigvalsh``. :func:`branch_entropies` reads S(post) and H(X) off
-them for U, U_A and the Holevo quantity.
+Each entropy has one path, and its kernels take arrays: a stack of matrices
+and their dims, formed once per chunk of states. :func:`entropies` gives
+S(AB), S(A) or S(B) of each from one ``eigvalsh``. :func:`branch_spectra` is
+the one kernel that forms the memory branches Tr_A[(P_k x 1) rho] of a
+measurement on A, one ``matmul`` for a stack of projectors of one state or of
+a stack of states; a qubit memory's 2x2 branch spectra are taken in closed
+form, larger ones with ``eigvalsh``. :func:`branch_entropies` reads S(post)
+and H(X) off them for U, U_A and the Holevo quantity.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, kron, ptrace_mat, stack_states, validate_density
+from .linalg import DensityMatrix, kron, ptrace_mat, validate_density
 
 PROB_TOL = 1e-9
 NEGLIGIBLE_OUTCOME = 1e-14
@@ -55,20 +56,20 @@ def von_neumann(rho) -> float:
     return float(spectrum_entropies(np.linalg.eigvalsh(mat)))
 
 
-def entropies(rhos, part: str) -> np.ndarray:
-    """S of each state of a sequence of one dims, or of its part "A" or "B", from one ``eigvalsh``."""
-    dims, mats = stack_states(rhos)
+def entropies(mats: np.ndarray, dims, part: str) -> np.ndarray:
+    """S of each matrix (..., side, side) of dims, or of its part "A" or "B", from one ``eigvalsh``."""
     return spectrum_entropies(np.linalg.eigvalsh(mats if part == "AB" else ptrace_mat(mats, dims, part)))
 
 
 def conditional_entropy(rho: DensityMatrix) -> float:
     """S(AB) - S(B); negative values witness entanglement."""
-    return float(entropies([rho], "AB")[0] - entropies([rho], "B")[0])
+    return float(entropies(rho.mat, rho.dims, "AB") - entropies(rho.mat, rho.dims, "B"))
 
 
 def mutual_information(rho: DensityMatrix) -> float:
     """Total correlations S(A) + S(B) - S(AB) between the two subsystems."""
-    return float(entropies([rho], "A")[0] + entropies([rho], "B")[0] - entropies([rho], "AB")[0])
+    s_a, s_b, s_ab = (entropies(rho.mat, rho.dims, part) for part in ("A", "B", "AB"))
+    return float(s_a + s_b - s_ab)
 
 
 class ProjectiveMeasurement:
@@ -151,14 +152,12 @@ def measure_on_A(rho: DensityMatrix, meas: ProjectiveMeasurement) -> Measurement
     )
 
 
-def branch_matrix(rho) -> np.ndarray:
-    """rho as the matrix M with M[(a, b), (i, j)] = rho[(a, i), (b, j)].
+def branch_matrix(mats: np.ndarray, dims) -> np.ndarray:
+    """Each matrix rho (..., side, side) of dims as M[(a, b), (i, j)] = rho[(a, i), (b, j)].
 
-    Then Tr_A[(P x 1) rho] is P.T.reshape(dA*dA) @ M, reshaped to dB x dB. rho is
-    one DensityMatrix, giving M of shape (dA*dA, dB*dB), or a sequence of N
-    states of one dims, giving a stack of shape (N, dA*dA, dB*dB).
+    Then Tr_A[(P x 1) rho] is P.T.reshape(dA*dA) @ M, reshaped to dB x dB; the
+    result has shape (..., dA*dA, dB*dB).
     """
-    dims, mats = (rho.dims, rho.mat) if isinstance(rho, DensityMatrix) else stack_states(rho)
     dA, dB = dims
     lead = mats.shape[:-2]
     t = np.swapaxes(mats.reshape(lead + (dA, dB, dA, dB)), -2, -3)
@@ -181,7 +180,7 @@ def branch_spectra(m: np.ndarray, projectors) -> np.ndarray:
     """Eigenvalues of the unnormalised memory branches Tr_A[(P_k x 1) rho].
 
     The one kernel behind U, the Holevo quantity and the J search. m is
-    branch_matrix(rho). For one state, projectors is a stack of A-side
+    branch_matrix of rho. For one state, projectors is a stack of A-side
     projectors of shape (..., K, dA, dA) and the result has shape (..., K, dB).
     For a stack of N states, the projectors' leading axis indexes the states:
     (N, ..., K, dA, dA) gives (N, ..., K, dB). All branches are one ``matmul``,
@@ -216,5 +215,5 @@ def measured_conditional_entropy(rho: DensityMatrix, meas: ProjectiveMeasurement
     ranks = np.trace(meas.projectors, axis1=-2, axis2=-1).real
     if np.abs(ranks - 1.0).max() > PROB_TOL:
         raise ValueError(f"measured conditional entropy needs rank-1 projectors, got {ranks}")
-    s_post, _ = branch_entropies(branch_spectra(branch_matrix(rho), meas.projectors))
-    return float(s_post - entropies([rho], "B")[0])
+    s_post, _ = branch_entropies(branch_spectra(branch_matrix(rho.mat, rho.dims), meas.projectors))
+    return float(s_post - entropies(rho.mat, rho.dims, "B"))

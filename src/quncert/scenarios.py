@@ -23,6 +23,7 @@ import numpy as np
 from .bounds import (
     BOUND_TOL,
     BOUND_TOL_OPT,
+    STACK_STATES,
     BoundReport,
     Observable,
     evaluate_bounds_many,
@@ -35,7 +36,7 @@ from .channels import (
     dephased_bell_diagonal,
     random_field_state,
 )
-from .correlations import STACK_STATES, OptimizerConfig
+from .correlations import OptimizerConfig
 from .linalg import DensityMatrix, validate_density
 from .observables import bundled_observable, pauli_observable, su3_pair
 from .states import (
@@ -361,16 +362,15 @@ def parse_state_spec(text: str) -> DensityMatrix:
             )
         if key in values:
             raise StateSpecError(f"column {cursor + 1}: parameter {key!r} given twice")
+        col = cursor + len(key) + 2
         try:
             values[key] = float(val)
         except ValueError:
-            raise StateSpecError(
-                f"column {cursor + len(key) + 2}: cannot parse number {val.strip()!r}"
-            ) from None
+            raise StateSpecError(f"column {col}: cannot parse number {val.strip()!r}") from None
+        if not math.isfinite(values[key]):
+            raise StateSpecError(f"column {col}: {key} must be finite, got {val.strip()!r}")
         if key == "d" and not values[key].is_integer():
-            raise StateSpecError(
-                f"column {cursor + len(key) + 2}: {key} must be an integer, got {val.strip()!r}"
-            )
+            raise StateSpecError(f"column {col}: {key} must be an integer, got {val.strip()!r}")
         cursor += len(chunk) + 1
     missing = [k for k in keys if k not in values]
     if missing:

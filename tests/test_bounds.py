@@ -3,7 +3,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from quncert import bounds, correlations, entropy
 from quncert.bounds import (
+    STACK_STATES,
     BoundReport,
     Observable,
     ObservableDimensionError,
@@ -17,7 +19,7 @@ from quncert.bounds import (
 from quncert.correlations import classical_correlation, concurrence
 from quncert.entropy import ProjectiveMeasurement, basis_projectors, von_neumann
 from quncert.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace, ptrace_mat
-from quncert.linalg import validate_density
+from quncert.linalg import stack_states, validate_density
 from quncert.observables import bundled_observable, pauli_observable, su3_pair
 from quncert.scenarios import random_density, random_observable
 from quncert.states import bell_diagonal, singlet, werner
@@ -270,6 +272,24 @@ def test_evaluate_bounds_many_takes_each_states_observables(dims):
     zs = [random_observable(rng, dims[0]) for _ in rhos]
     reports = evaluate_bounds_many(rhos, xs, zs)
     assert [repr(r) for r in reports] == [repr(evaluate_bounds(*a)) for a in zip(rhos, xs, zs)]
+
+
+def test_evaluate_bounds_many_stacks_each_chunk_twice(monkeypatch):
+    # one stack for the chunk's J search and one for its reports, whatever reads them
+    rng = np.random.default_rng(20261019)
+    rhos = [random_density(rng, (2, 2)) for _ in range(STACK_STATES + 5)]
+    xs = [random_observable(rng, 2) for _ in rhos]
+    zs = [random_observable(rng, 2) for _ in rhos]
+    calls = []
+
+    def counted(states):
+        calls.append(len(states))
+        return stack_states(states)
+
+    for module in (bounds, correlations, entropy):
+        monkeypatch.setattr(module, "stack_states", counted, raising=False)
+    assert len(evaluate_bounds_many(rhos, xs, zs)) == len(rhos)
+    assert calls == [STACK_STATES, STACK_STATES, 5, 5]
 
 
 def test_evaluate_bounds_many_checks_every_states_observables():

@@ -6,7 +6,7 @@ import pytest
 
 import quncert
 from quncert import cli, scenarios
-from quncert.bounds import evaluate_bounds, evaluate_bounds_many, single_system_bound
+from quncert.bounds import STACK_STATES, evaluate_bounds, evaluate_bounds_many, single_system_bound
 from quncert.channels import (
     apply_kraus,
     dephased_bell_diagonal,
@@ -17,7 +17,7 @@ from quncert.channels import (
 )
 from quncert.bounds import observable_measurement, uncertainty_sum
 from quncert.cli import main
-from quncert.correlations import STACK_STATES, OptimizerConfig
+from quncert.correlations import OptimizerConfig
 from quncert.linalg import partial_trace, require
 from quncert.scenarios import (
     SCENARIO_NAMES,
@@ -294,6 +294,11 @@ def test_parse_state_spec_missing_params():
     ("isotropic:d=3.99,f=0.5", 13, "integer"),
     ("werner:d=2.9,f=0.5", 10, "integer"),
     ("werner:d=2,f=0.8,f=0.1", 18, "twice"),
+    ("qubit-qutrit:alpha=nan,gamma=0.1", 20, "alpha must be finite, got 'nan'"),
+    ("bell-mixture:w1p=nan,w1m=0.1,w2p=0,w2m=0", 18, "w1p must be finite"),
+    ("bell-diagonal:c1=inf,c2=0,c3=0", 18, "c1 must be finite, got 'inf'"),
+    ("werner:d=2,f=-inf", 14, "f must be finite"),
+    ("werner:d=inf,f=0.5", 10, "d must be finite"),
 ])
 def test_parse_state_spec_rejects_rewritten_values(text, column, message):
     with pytest.raises(StateSpecError, match=f"column {column}: .*{message}"):
@@ -314,6 +319,18 @@ def test_observable_dimension_mismatch_is_usage_error(capsys, argv, dims):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("usage error:") and dims in err
+
+
+@pytest.mark.parametrize("argv", [["scenario", "werner-qubit", "--sweep", "0:1:2"],
+                                  ["info", "--state", "werner:d=2,f=0.8"]],
+                         ids=["scenario", "info"])
+def test_obs_and_obs_file_exclude_each_other(capsys, argv):
+    # both observable sources at once is a usage error, not one of them silently dropped
+    data = Path(quncert.__file__).parent / "data"
+    code, out, err = run_cli(capsys, *argv, "--obs", "builtin:1,2",
+                             "--obs-file", str(data / "x1.txt"), str(data / "z1.txt"))
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and "not allowed with argument --obs" in err
 
 
 def test_run_scenario_rows_ordered():

@@ -84,7 +84,7 @@ def test_frame_derivatives_match_central_differences(dims):
         states.append(validate_density(w @ random_density(rng, (d_a, 2)).mat @ w.conj().T, dims))
     for rho in states:
         u = rand_unitary(d_a, rng)
-        g, hess = _FRAMES[d_a].derivatives(branch_matrix(rho)[None], u[None])
+        g, hess = _FRAMES[d_a].derivatives(branch_matrix(rho.mat, rho.dims)[None], u[None])
         g_fd, hess_fd = frame_derivatives_by_differences(rho, u)
         assert np.abs(g[0] - g_fd).max() <= 1e-6
         assert np.abs(hess[0] - hess_fd).max() <= 1e-6
@@ -94,7 +94,8 @@ def test_frame_derivatives_finite_at_pure_branches():
     # at the optimum of a |c| = 1 Bell-diagonal state every branch is pure, and the
     # entropy's log singularity sits at the basis itself
     rho = bell_diagonal(0.5, 0.5, -1.0)
-    g, hess = _FRAMES[2].derivatives(branch_matrix(rho)[None], np.eye(2, dtype=complex)[None])
+    m = branch_matrix(rho.mat, rho.dims)[None]
+    g, hess = _FRAMES[2].derivatives(m, np.eye(2, dtype=complex)[None])
     assert np.all(np.isfinite(g)) and np.all(np.isfinite(hess))
     assert np.abs(g).max() <= 1e-12 and np.linalg.eigvalsh(hess[0]).max() < 0.0
 
@@ -244,8 +245,8 @@ def test_newton_lanes_match_one_lane_searches():
         def run(idx):
             # lane l searches states[idx[l]]; returns its bases, values, the lanes of every
             # derivative and value call, and each lane's derivative inputs and trial bases
-            m = branch_matrix([states[i] for i in idx])
-            s_b = entropies([states[i] for i in idx], "B")
+            mats = np.array([states[i].mat for i in idx])
+            m, s_b = branch_matrix(mats, dims), entropies(mats, dims, "B")
             calls = {"derivatives": [], "value": []}
             seen = {kind: [[] for _ in idx] for kind in calls}
 

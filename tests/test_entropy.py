@@ -229,9 +229,10 @@ def test_entropies_equal_von_neumann_state_by_state(dims):
     rhos = [random_density(rng, dims) for _ in range(10)]
     v = rng.normal(size=dims[0] * dims[1]) + 1j * rng.normal(size=dims[0] * dims[1])
     rhos.append(validate_density(np.outer(v, v.conj()) / np.vdot(v, v).real, dims))
+    stack = np.array([r.mat for r in rhos])
     for part in ("AB", "A", "B"):
         mats = [r.mat if part == "AB" else ptrace_mat(r.mat, dims, part) for r in rhos]
-        assert entropies(rhos, part).tolist() == [von_neumann(m) for m in mats]
+        assert entropies(stack, dims, part).tolist() == [von_neumann(m) for m in mats]
 
 
 def test_branch_entropies_read_the_post_state_and_the_outcomes():
@@ -242,7 +243,7 @@ def test_branch_entropies_read_the_post_state_and_the_outcomes():
         g = rng.normal(size=(dims[0], dims[0])) + 1j * rng.normal(size=(dims[0], dims[0]))
         meas = ProjectiveMeasurement.from_basis(np.linalg.qr(g)[0])
         out = measure_on_A(rho, meas)
-        s_post, h = branch_entropies(branch_spectra(branch_matrix(rho), meas.projectors))
+        s_post, h = branch_entropies(branch_spectra(branch_matrix(rho.mat, dims), meas.projectors))
         assert abs(s_post - von_neumann(out.post_state)) <= 1e-12
         assert abs(h - shannon(out.probs)) <= 1e-12
 
@@ -302,10 +303,11 @@ def test_branch_spectra_stack_equals_one_state_calls(dims):
     _, v = np.linalg.eigh(g + np.swapaxes(g.conj(), -1, -2))
     cols = np.swapaxes(v, -1, -2)
     projectors = cols[..., :, :, None] * cols.conj()[..., :, None, :]  # (5, 3, dA, dA, dA)
-    stacked = branch_spectra(branch_matrix(rhos), projectors)
+    stacked = branch_spectra(branch_matrix(np.array([r.mat for r in rhos]), dims), projectors)
     assert stacked.shape == (5, 3, dims[0], dims[1])
     for i, rho in enumerate(rhos):
-        assert stacked[i].tobytes() == branch_spectra(branch_matrix(rho), projectors[i]).tobytes()
+        one = branch_spectra(branch_matrix(rho.mat, dims), projectors[i])
+        assert stacked[i].tobytes() == one.tobytes()
 
 
 def test_measured_entropy_rejects_higher_rank_projectors():
