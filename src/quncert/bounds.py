@@ -10,9 +10,9 @@ state with memory B, the quantity U = S(X|B) + S(Z|B) is bounded below by
 where c is the maximal squared eigenvector overlap, J_A the classical
 correlation and D_A the A-side discord.
 
-evaluate_bounds_many cuts its states into chunks of at most STACK_STATES.
-Every report comes from one path, which stacks its chunk once and passes the
-arrays to every kernel: S(AB), S(A) and S(B) from entropy.entropies,
+evaluate_bounds_many checks one dims for all its states and stacks each chunk
+of at most STACK_STATES once, for the J search and the one report path, which
+passes the stack to every kernel: S(AB), S(A) and S(B) from entropy.entropies,
 U and U_A = H(X) + H(Z) from one entropy.branch_spectra call over every
 state's X and Z eigenprojectors, read by entropy.branch_entropies, c from one
 stacked overlap product of the eigenbases, and the two-qubit concurrence from
@@ -32,7 +32,7 @@ from .correlations import OptimizerConfig, clamp_discord, concurrences
 from .correlations import classical_correlation, classical_correlations
 from .entropy import ProjectiveMeasurement, basis_projectors, branch_entropies, branch_matrix
 from .entropy import branch_spectra, entropies, measured_conditional_entropy, von_neumann
-from .linalg import DensityMatrix, EigenSystem, adjoint, eig_hermitian, stack_states
+from .linalg import DensityMatrix, EigenSystem, adjoint, eig_hermitian, shared_dims
 
 DEGENERACY_GAP = 1e-9
 BOUND_TOL = 1e-9
@@ -174,13 +174,12 @@ def _check_observables(dA: int, x: Observable, z: Observable):
         )
 
 
-def _reports(rhos, xs, zs, classical) -> list[BoundReport]:
-    """The reports of a stack of states of one dims, given their classical correlations.
+def _reports(mats: np.ndarray, dims, xs, zs, classical) -> list[BoundReport]:
+    """The reports of a stack (N, side, side) of dims, given their classical correlations.
 
     The one report path of the module. U_b2 reuses the classical-correlation
     estimate that enters the discord, so D - J = I - 2J stays internally consistent.
     """
-    dims, mats = stack_states(rhos)
     s_ab, s_a, s_b = (entropies(mats, dims, part) for part in ("AB", "A", "B"))
     bases = np.array([[x.eigensystem.vectors, z.eigensystem.vectors] for x, z in zip(xs, zs)])
     mu = branch_spectra(branch_matrix(mats, dims), basis_projectors(bases))  # (N, 2, K, dB)
@@ -189,7 +188,7 @@ def _reports(rhos, xs, zs, classical) -> list[BoundReport]:
     u_a = h.sum(axis=-1)
     s_cond, mutual = s_ab - s_b, s_a + s_b - s_ab
     cs = _complementarities(bases).tolist()
-    con = concurrences(mats).tolist() if dims == (2, 2) else [None] * len(rhos)
+    con = concurrences(mats).tolist() if dims == (2, 2) else [None] * len(mats)
     reports = []
     for i, c in enumerate(cs):
         j, s = float(classical[i]), float(s_cond[i])
@@ -206,21 +205,24 @@ def evaluate_bounds(rho: DensityMatrix, x: Observable, z: Observable,
                     cfg: OptimizerConfig | None = None) -> BoundReport:
     """Compute U, the three bounds, and the correlation measures in one pass."""
     _check_observables(rho.dA, x, z)
-    return _reports([rho], [x], [z], [classical_correlation(rho, cfg)])[0]
+    return _reports(rho.mat[None], rho.dims, [x], [z], [classical_correlation(rho, cfg)])[0]
 
 
 def evaluate_bounds_many(rhos, xs, zs, cfg: OptimizerConfig | None = None) -> list[BoundReport]:
     """evaluate_bounds for each state of a sequence and its own observables xs[i], zs[i].
 
-    The states go in chunks of at most STACK_STATES. Each chunk is one
-    lock-step J search and one stack of reports, and each report equals the
-    one evaluate_bounds gives for its state and observables.
+    The states share one dims and go in chunks of at most STACK_STATES, each
+    stacked once for one lock-step J search and its reports. Each report
+    equals the one evaluate_bounds gives for its state and observables.
     """
     if not len(rhos) == len(xs) == len(zs):
         raise ValueError(f"need one X and one Z per state; got {len(rhos)} states,"
                          f" {len(xs)} X and {len(zs)} Z observables")
-    for rho, x, z in zip(rhos, xs, zs):
-        _check_observables(rho.dA, x, z)
-    chunks = ([a[lo:lo + STACK_STATES] for a in (rhos, xs, zs)]
-              for lo in range(0, len(rhos), STACK_STATES))
-    return [r for c in chunks for r in _reports(*c, classical_correlations(c[0], cfg))]
+    if not len(rhos):
+        return []
+    dims = shared_dims(rhos)
+    for x, z in zip(xs, zs):
+        _check_observables(dims[0], x, z)
+    cuts = [slice(lo, lo + STACK_STATES) for lo in range(0, len(rhos), STACK_STATES)]
+    chunks = ((np.stack([rho.mat for rho in rhos[c]]), xs[c], zs[c]) for c in cuts)
+    return [r for m, x, z in chunks for r in _reports(m, dims, x, z, classical_correlations(m, dims, cfg))]

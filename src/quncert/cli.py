@@ -116,9 +116,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"quncert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     optimizer = _Parser(add_help=False)
-    optimizer.add_argument("--seed", type=int, default=0)
-    optimizer.add_argument("--grid", type=int, default=16)
-    optimizer.add_argument("--restarts", type=int, default=8)
+    optimizer.add_argument("--seed", type=int, default=OptimizerConfig.seed)
+    optimizer.add_argument("--grid", type=int, default=OptimizerConfig.grid_points)
+    optimizer.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
 
     sc = sub.add_parser("scenario", parents=[optimizer], help="run a named sweep and emit CSV")
     sc.add_argument("name", choices=SCENARIO_NAMES)

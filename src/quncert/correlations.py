@@ -17,7 +17,7 @@ and Hessian in the frame, from one gemm and one ``eigh`` per branch
 line search of the kernel along the shifted Newton step. A basis moves only
 on strict improvement, so the value never falls below its start, and every
 value is the kernel's value at the basis returned. :func:`classical_correlations`
-searches what it is given as one stack, which its callers bound; a state's
+searches a stack (N, side, side) of one dims, which its callers bound; a state's
 value is the same in any stack, so it equals :func:`classical_correlation`.
 
 For a qubit A the starts are the frame moves c = theta/2 (sin phi, -cos phi)
@@ -42,7 +42,7 @@ import numpy as np
 
 from .entropy import ProjectiveMeasurement, basis_projectors, branch_entropies, branch_matrix
 from .entropy import branch_spectra, entropies, mutual_information, xlog2x
-from .linalg import PAULI_Y, DensityMatrix, kron, stack_states
+from .linalg import PAULI_Y, DensityMatrix, adjoint, kron
 
 DISCORD_NOISE = 1e-6
 X_FORM_TOL = 1e-10
@@ -147,7 +147,7 @@ class _Frame:
         w, v = np.linalg.eigh(h)
         if scales is not None:
             w, v = scales[:, None] * w[:, None, :], v[:, None]
-        return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        return (v * np.exp(1j * w)[..., None, :]) @ adjoint(v)
 
     def derivatives(self, m: np.ndarray, u: np.ndarray):
         """Gradient (L, P) and Hessian (L, P, P) of the Holevo quantity in c at c = 0.
@@ -168,15 +168,14 @@ class _Frame:
         n, d = u.shape[:2]
         p, db = len(self.generators), math.isqrt(m.shape[-1])
         ut = u.swapaxes(1, 2)
-        wt = (ut.conj()[:, :, None, :, None] * ut[:, None, :, None, :]).reshape(n, d * d, d * d)
+        wt = kron(ut.conj(), ut)
         rows = (self.rows @ (wt @ m)).reshape(n, d, -1, db * db)
         lam, v = np.linalg.eigh(rows[:, :, 0].reshape(n, d, db, db))
         # the states have unit trace, so an empty branch is floored at EIG_FLOOR ** 2
         lam = np.maximum(lam, EIG_FLOOR * np.maximum(lam[..., -1:], EIG_FLOOR))
         prob = lam.sum(axis=-1, keepdims=True)
         # the derivative rows in the eigenbasis of their branch: V^+ X V, flattened
-        rot = v.conj()[..., :, None, :, None] * v[..., None, :, None, :]
-        hat = rows[:, :, 1:] @ rot.reshape(n, d, db * db, -1)
+        hat = rows[:, :, 1:] @ kron(v.conj(), v)
         diag = hat[..., :: db + 1].real
         traced = (diag @ np.log2(lam / prob)[..., None]).sum(axis=1)[..., 0]
         grad, curve = traced[:, :p], traced[:, p:] @ self.sym
@@ -256,8 +255,8 @@ def _polish(value, derivatives, u: np.ndarray, fu: np.ndarray, iters: int):
     return u, fu
 
 
-def _search(rhos, starts: np.ndarray, keep: int, iters: int):
-    """Maximize the Holevo quantity over measurement bases for N states of one dims.
+def _search(mats: np.ndarray, dims, starts: np.ndarray, keep: int, iters: int):
+    """Maximize the Holevo quantity over measurement bases for a stack (N, side, side) of dims.
 
     The start bases (S, dA, dA) are measured along their columns, and each
     state scores them with one kernel call. The best min(keep, S) starts of
@@ -266,10 +265,10 @@ def _search(rhos, starts: np.ndarray, keep: int, iters: int):
     are, so a state's result does not depend on its stack. Returns each
     state's best value and its basis.
     """
-    n = len(rhos)
-    dims, mats = stack_states(rhos)
+    n = len(mats)
     m, s_b = branch_matrix(mats, dims), entropies(mats, dims, "B")
     start_projectors = basis_projectors(starts)
+    # state by state for memory: at grid 1024 one (2, 4) state's branches take ~268 MB
     scores = np.array([_holevo(s, branch_spectra(mi, start_projectors)) for s, mi in zip(s_b, m)])
     best = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
     state = np.repeat(np.arange(n), best.shape[1])
@@ -327,20 +326,20 @@ def _search_plan(dA: int, cfg: OptimizerConfig) -> dict:
                 iters=max(3, cfg.refine_iters // (3 if dA == 2 else 8)))
 
 
-def classical_correlations(rhos, cfg: OptimizerConfig | None = None) -> np.ndarray:
-    """classical_correlation of each state of a sequence of one dims, searched in lock-step.
+def classical_correlations(mats: np.ndarray, dims, cfg: OptimizerConfig | None = None) -> np.ndarray:
+    """classical_correlation of each state of a stack (N, side, side) of dims, in lock-step.
 
-    The states are searched as one stack, whose lane arrays grow with it, so
-    callers bound the stack. A state's value does not depend on its stack.
+    The lane arrays grow with the stack, so callers bound it. A state's value
+    does not depend on its stack.
     """
-    if not rhos:
+    if not len(mats):
         return np.empty(0)
-    return _search(rhos, **_search_plan(rhos[0].dA, cfg or OptimizerConfig()))[0]
+    return _search(mats, dims, **_search_plan(dims[0], cfg or OptimizerConfig()))[0]
 
 
 def classical_correlation(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:
     """Maximum Holevo information extractable by a projective measurement on A."""
-    return float(classical_correlations([rho], cfg)[0])
+    return float(classical_correlations(rho.mat[None], rho.dims, cfg)[0])
 
 
 def bell_diagonal_classical_closed(c1: float, c2: float, c3: float) -> float:

@@ -54,13 +54,12 @@ class DensityMatrix:
         return self.dims[0] * self.dims[1]
 
 
-def stack_states(rhos) -> tuple[tuple[int, int], np.ndarray]:
-    """The dims shared by a sequence of N states and their matrices stacked (N, side, side)."""
+def shared_dims(rhos) -> tuple[int, int]:
+    """The dims shared by a sequence of states, which a stack of their matrices needs."""
     all_dims = {r.dims for r in rhos}
     if len(all_dims) != 1:
         raise ValueError(f"a state stack needs one dims, got {sorted(all_dims)}")
-    (dims,) = all_dims
-    return dims, np.stack([r.mat for r in rhos])
+    return all_dims.pop()
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from quncert import bounds, correlations, entropy
+from quncert import bounds
 from quncert.bounds import (
     STACK_STATES,
     BoundReport,
@@ -19,7 +20,7 @@ from quncert.bounds import (
 from quncert.correlations import classical_correlation, concurrence
 from quncert.entropy import ProjectiveMeasurement, basis_projectors, von_neumann
 from quncert.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace, ptrace_mat
-from quncert.linalg import stack_states, validate_density
+from quncert.linalg import validate_density
 from quncert.observables import bundled_observable, pauli_observable, su3_pair
 from quncert.scenarios import random_density, random_observable
 from quncert.states import bell_diagonal, singlet, werner
@@ -274,22 +275,45 @@ def test_evaluate_bounds_many_takes_each_states_observables(dims):
     assert [repr(r) for r in reports] == [repr(evaluate_bounds(*a)) for a in zip(rhos, xs, zs)]
 
 
-def test_evaluate_bounds_many_stacks_each_chunk_twice(monkeypatch):
-    # one stack for the chunk's J search and one for its reports, whatever reads them
+def test_evaluate_bounds_many_stacks_each_chunk_once(monkeypatch):
+    # one stack per chunk, shared by the chunk's J search and its reports
     rng = np.random.default_rng(20261019)
     rhos = [random_density(rng, (2, 2)) for _ in range(STACK_STATES + 5)]
     xs = [random_observable(rng, 2) for _ in rhos]
     zs = [random_observable(rng, 2) for _ in rhos]
-    calls = []
+    seen = {"J": [], "reports": []}
+    search, reports = bounds.classical_correlations, bounds._reports
 
-    def counted(states):
-        calls.append(len(states))
-        return stack_states(states)
+    def searched(mats, dims, cfg=None):
+        seen["J"].append(mats)
+        return search(mats, dims, cfg)
 
-    for module in (bounds, correlations, entropy):
-        monkeypatch.setattr(module, "stack_states", counted, raising=False)
+    def reported(mats, *args):
+        seen["reports"].append(mats)
+        return reports(mats, *args)
+
+    monkeypatch.setattr(bounds, "classical_correlations", searched)
+    monkeypatch.setattr(bounds, "_reports", reported)
     assert len(evaluate_bounds_many(rhos, xs, zs)) == len(rhos)
-    assert calls == [STACK_STATES, STACK_STATES, 5, 5]
+    assert [len(m) for m in seen["J"]] == [len(m) for m in seen["reports"]] == [STACK_STATES, 5]
+    assert all(a is b for a, b in zip(seen["J"], seen["reports"]))
+    # one state is passed as a view of its own matrix, not stacked
+    evaluate_bounds(rhos[0], xs[0], zs[0])
+    assert np.shares_memory(seen["reports"][-1], rhos[0].mat)
+
+
+@pytest.mark.parametrize("counts", [(STACK_STATES, 5), (STACK_STATES - 1, 5), (2, 3)])
+def test_evaluate_bounds_many_rejects_mixed_dims(monkeypatch, counts):
+    # wherever the chunk cut falls, mixed dims fail before any J search
+    rng = np.random.default_rng(20261020)
+    rhos = [random_density(rng, dims) for dims, n in zip([(2, 2), (2, 3)], counts) for _ in range(n)]
+
+    def searched(*args):
+        raise AssertionError("a J search ran before the dims check")
+
+    monkeypatch.setattr(bounds, "classical_correlations", searched)
+    with pytest.raises(ValueError, match=re.escape("a state stack needs one dims, got [(2, 2), (2, 3)]")):
+        evaluate_bounds_many(rhos, [SX] * len(rhos), [SZ] * len(rhos))
 
 
 def test_evaluate_bounds_many_checks_every_states_observables():

@@ -212,7 +212,7 @@ def test_rotated_ridge_bell_diagonal_reaches_closed_form(d_b):
     # lane can stall; however flat the ridge, no state may end more than 1e-9 short
     rng = np.random.default_rng((11, d_b))
     cases = [ridge_bell_diagonal(rng, d_b) for _ in range(20)]
-    got = classical_correlations([rho for rho, _, _ in cases])
+    got = classical_correlations(np.stack([rho.mat for rho, _, _ in cases]), (2, d_b))
     short = np.array([want for _, _, want in cases]) - got
     assert np.all(short <= 1e-9)
     assert np.all(short >= -1e-12)  # never above the projective optimum
@@ -294,8 +294,9 @@ def test_few_starts_stack_like_one_state(d_a, d_b, cfg, starts):
     # with fewer starts than the 3 lanes a state keeps, each state polishes them all
     assert len(_search_plan(d_a, cfg)["starts"]) == starts
     states = stack_corpus((d_a, d_b), np.random.default_rng((20241024, d_a, d_b)))
-    assert classical_correlations(states, cfg).tolist() == [classical_correlation(rho, cfg)
-                                                            for rho in states]
+    mats = np.stack([rho.mat for rho in states])
+    assert classical_correlations(mats, (d_a, d_b), cfg).tolist() == [classical_correlation(rho, cfg)
+                                                                      for rho in states]
 
 
 @pytest.mark.parametrize("d_b, i",
@@ -315,9 +316,10 @@ def test_qutrit_lock_step_equals_each_start_refined_alone(d_b):
     starts, keep = plan.pop("starts"), plan.pop("keep")
     for i in range(2):
         rho = random_density(np.random.default_rng((20241018, d_b, i)), (3, d_b))
-        scored = [_search([rho], starts[k:k + 1], 1, iters=0)[0][0] for k in range(len(starts))]
+        scored = [_search(rho.mat[None], rho.dims, starts[k:k + 1], 1, iters=0)[0][0]
+                  for k in range(len(starts))]
         kept = np.argsort(-np.array(scored), kind="stable")[:keep]
-        alone = [_search([rho], starts[k:k + 1], 1, **plan)[0][0] for k in kept]
+        alone = [_search(rho.mat[None], rho.dims, starts[k:k + 1], 1, **plan)[0][0] for k in kept]
         assert classical_correlation(rho, cfg) == max(alone)
 
 
@@ -369,17 +371,19 @@ def stack_corpus(dims, rng):
 @pytest.mark.parametrize("dims", [(d_a, d_b) for d_a in (2, 3) for d_b in (1, 2, 3, 4)])
 def test_stacked_search_equals_one_state_search(dims):
     states = stack_corpus(dims, np.random.default_rng((20241019,) + dims))
-    stacked = classical_correlations(states)
+    mats = np.stack([rho.mat for rho in states])
+    stacked = classical_correlations(mats, dims)
     assert stacked.tolist() == [classical_correlation(rho) for rho in states]
     # the order of a stack does not matter either
-    assert classical_correlations(states[::-1]).tolist() == stacked[::-1].tolist()
+    assert classical_correlations(mats[::-1], dims).tolist() == stacked[::-1].tolist()
 
 
 @pytest.mark.parametrize("dims", [(d_a, d_b) for d_a in (2, 3) for d_b in (1, 2, 3, 4)])
 def test_search_basis_certifies_its_value(dims):
     states = stack_corpus(dims, np.random.default_rng((20241021,) + dims))
-    values, bases = _search(states, **_search_plan(dims[0], OptimizerConfig()))
-    assert values.tolist() == classical_correlations(states).tolist()
+    mats = np.stack([rho.mat for rho in states])
+    values, bases = _search(mats, dims, **_search_plan(dims[0], OptimizerConfig()))
+    assert values.tolist() == classical_correlations(mats, dims).tolist()
     for rho, j, u in zip(states, values, bases):
         assert abs(holevo_quantity(rho, ProjectiveMeasurement.from_basis(u)) - j) <= 1e-12
 
