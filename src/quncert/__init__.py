@@ -6,19 +6,15 @@ from .bounds import (
     Observable,
     complementarity,
     evaluate_bounds,
-    single_system_bound,
-    observable_measurement,
     uncertainty_sum,
 )
 from .channels import (
     KrausChannel,
-    ad_closed_form,
     apply_kraus,
     jc_state,
     jc_survival,
     local_channel,
     dephased_bell_diagonal,
-    pd_closed_form,
     random_field_state,
 )
 from .correlations import (
@@ -26,18 +22,14 @@ from .correlations import (
     bell_diagonal_classical_closed,
     classical_correlation,
     concurrence,
-    concurrence_x,
     discord,
     holevo_quantity,
 )
 from .entropy import (
-    MeasurementOutcome,
     ProjectiveMeasurement,
     conditional_entropy,
-    measure_on_A,
     measured_conditional_entropy,
     mutual_information,
-    shannon,
     von_neumann,
 )
 from .linalg import (
@@ -45,7 +37,6 @@ from .linalg import (
     EigenSystem,
     eig_hermitian,
     kron,
-    partial_trace,
     validate_density,
 )
 from .states import (
@@ -65,11 +56,9 @@ __all__ = [
     "DensityMatrix",
     "EigenSystem",
     "KrausChannel",
-    "MeasurementOutcome",
     "Observable",
     "OptimizerConfig",
     "ProjectiveMeasurement",
-    "ad_closed_form",
     "apply_kraus",
     "bell_diagonal",
     "bell_diagonal_classical_closed",
@@ -78,7 +67,6 @@ __all__ = [
     "classical_correlation",
     "complementarity",
     "concurrence",
-    "concurrence_x",
     "conditional_entropy",
     "discord",
     "eig_hermitian",
@@ -88,19 +76,13 @@ __all__ = [
     "jc_state",
     "jc_survival",
     "kron",
-    "single_system_bound",
     "local_channel",
     "dephased_bell_diagonal",
-    "measure_on_A",
     "measured_conditional_entropy",
     "mutual_information",
-    "observable_measurement",
-    "partial_trace",
-    "pd_closed_form",
     "qubit_qudit",
     "random_field_state",
     "singlet",
-    "shannon",
     "uncertainty_sum",
     "validate_density",
     "von_neumann",

@@ -18,8 +18,9 @@ state's X and Z eigenprojectors, read by entropy.branch_entropies, c from one
 stacked overlap product of the eigenbases, and the two-qubit concurrence from
 one stacked ``eigvals``. complementarity, concurrence, uncertainty_sum and the
 scalar entropies are the N = 1 case of those formulas. The independent
-oracles are measure_on_A, which builds each branch explicitly, the Shannon
-entropy of its outcome probabilities, concurrence_x and closed forms.
+oracles the tests hold them against are in tests/oracles.py: measure_on_A,
+which builds each branch explicitly, the Shannon entropy of its outcome
+probabilities, concurrence_x and single_system_bound; closed forms complete them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .correlations import OptimizerConfig, clamp_discord, concurrences
 from .correlations import classical_correlation, classical_correlations
 from .entropy import ProjectiveMeasurement, basis_projectors, branch_entropies, branch_matrix
-from .entropy import branch_spectra, entropies, measured_conditional_entropy, von_neumann
+from .entropy import branch_spectra, entropies, measured_conditional_entropy
 from .linalg import DensityMatrix, EigenSystem, adjoint, eig_hermitian, shared_dims
 
 DEGENERACY_GAP = 1e-9
@@ -63,11 +64,6 @@ class Observable:
         return self.mat.shape[0]
 
 
-def observable_measurement(obs: Observable) -> ProjectiveMeasurement:
-    """Rank-1 eigenprojectors of a non-degenerate observable, built and checked per call."""
-    return ProjectiveMeasurement.from_basis(obs.eigensystem.vectors)
-
-
 def _complementarities(bases: np.ndarray) -> np.ndarray:
     """c = max_(i,j) |<x_i|z_j>|^2 of each pair of eigenbases (N, 2, d, d)."""
     return (np.abs(adjoint(bases[:, 0]) @ bases[:, 1]) ** 2).max(axis=(-2, -1))
@@ -80,45 +76,10 @@ def complementarity(x: Observable, z: Observable) -> float:
     return float(_complementarities(np.array([[x.eigensystem.vectors, z.eigensystem.vectors]]))[0])
 
 
-def _max_element_trace(povm, d: int, tol: float = 1e-9) -> float:
-    """The largest element trace of a POVM on dimension d, after checking that it is one."""
-    if isinstance(povm, ProjectiveMeasurement):
-        povm = povm.projectors
-    elements = [np.asarray(e, dtype=complex) for e in povm]
-    if not elements:
-        raise ValueError("POVM has no elements")
-    traces = []
-    for e in elements:
-        if e.shape != (d, d):
-            raise ValueError(f"POVM element is {'x'.join(map(str, e.shape))}, state has d={d}")
-        if np.abs(e - e.conj().T).max() > tol:
-            raise ValueError("POVM element is not Hermitian")
-        if np.linalg.eigvalsh(e).min() < -tol:
-            raise ValueError("POVM element is not positive semidefinite")
-        traces.append(float(np.trace(e).real))
-    if np.abs(sum(elements) - np.eye(d)).max() > tol:
-        raise ValueError("POVM elements do not sum to the identity")
-    return max(traces)
-
-
-def single_system_bound(rho_a: DensityMatrix, x_povm, z_povm) -> float:
-    """Single-system bound log2(1/c(X)) + log2(1/c(Z)) + 2*S(A).
-
-    c(X) is the largest element trace; with rank-1 projective inputs it is 1
-    and the bound reduces to 2*S(A).
-    """
-    if 1 not in rho_a.dims:
-        raise ValueError(f"expected a single-system state, got dims {rho_a.dims}")
-    d = rho_a.mat.shape[0]
-    c_x = _max_element_trace(x_povm, d)
-    c_z = _max_element_trace(z_povm, d)
-    return float(-np.log2(c_x) - np.log2(c_z) + 2.0 * von_neumann(rho_a))
-
-
 def uncertainty_sum(rho: DensityMatrix, x: Observable, z: Observable) -> float:
     """U = S(X|B) + S(Z|B) for measurements on subsystem A."""
-    mx = observable_measurement(x)
-    mz = observable_measurement(z)
+    mx = ProjectiveMeasurement.from_basis(x.eigensystem.vectors)
+    mz = ProjectiveMeasurement.from_basis(z.eigensystem.vectors)
     return measured_conditional_entropy(rho, mx) + measured_conditional_entropy(rho, mz)
 
 

@@ -3,8 +3,8 @@ and phase damping, the damped oscillator non-Markovian survival probability,
 the random-external-field map, and the dephasing model with the sudden
 classical/quantum transition.
 
-Closed-form evolved states are provided next to the generic Kraus route and
-the two are held equal to 1e-10 in tests. The swept parameter of each model
+The tests hold the Kraus route to the closed-form damped states of
+tests/oracles.py within 1e-10. The swept parameter of each model
 broadcasts: N values give N stacked Kraus operators (N, d, d) and a list of N
 states, each bit for bit the state of its value alone.
 """
@@ -74,37 +74,6 @@ def local_channel(kind: str, p_a: float, p_b: float) -> KrausChannel:
     ka = _single_qubit_kraus(kind, p_a)
     kb = _single_qubit_kraus(kind, p_b)
     return KrausChannel(ops=tuple(kron(u, v) for u in ka for v in kb))
-
-
-def ad_closed_form(c1: float, c2: float, c3: float, p: float) -> DensityMatrix:
-    """Bell-diagonal initial state after two-sided amplitude damping, explicitly."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    q = 1.0 - p
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0] = (1.0 + p) ** 2 + q * q * c3
-    mat[1, 1] = mat[2, 2] = ((1.0 - c3) + (1.0 + c3) * p) * q
-    mat[3, 3] = q * q * (1.0 + c3)
-    mat[0, 3] = mat[3, 0] = q * (c1 - c2)
-    mat[1, 2] = mat[2, 1] = q * (c1 + c2)
-    return validate_density(mat / 4.0, (2, 2), tol=CHANNEL_TOL)
-
-
-def pd_closed_form(c1: float, c2: float, c3: float, p: float) -> DensityMatrix:
-    """Bell-diagonal initial state after two-sided phase damping.
-
-    Populations are untouched; both coherences pick up one factor (1 - p),
-    i.e. the correlation triple becomes (c1*(1-p), c2*(1-p), c3).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    q = 1.0 - p
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0] = mat[3, 3] = 1.0 + c3
-    mat[1, 1] = mat[2, 2] = 1.0 - c3
-    mat[0, 3] = mat[3, 0] = q * (c1 - c2)
-    mat[1, 2] = mat[2, 1] = q * (c1 + c2)
-    return validate_density(mat / 4.0, (2, 2), tol=CHANNEL_TOL)
 
 
 def jc_survival(t: float, gamma0: float, tau: float) -> float:

@@ -45,7 +45,6 @@ from .entropy import branch_spectra, entropies, mutual_information, xlog2x
 from .linalg import PAULI_Y, DensityMatrix, adjoint, kron
 
 DISCORD_NOISE = 1e-6
-X_FORM_TOL = 1e-10
 _SPIN_FLIP = kron(PAULI_Y, PAULI_Y)
 # Newton polish: line-search fractions of the step, longest step, and the least
 # gain in bits a step must promise; below it only roundoff is left.
@@ -393,18 +392,3 @@ def concurrences(mats: np.ndarray) -> np.ndarray:
     mus = np.sqrt(ev)
     gap = mus[:, 0] - mus[:, 1] - mus[:, 2] - mus[:, 3]
     return np.where(gap > 0.0, gap, 0.0)
-
-
-def concurrence_x(rho: DensityMatrix) -> float:
-    """Concurrence of an X-form state: 2*max{0, |r14|-sqrt(r22 r33), |r23|-sqrt(r11 r44)}."""
-    _check_two_qubit(rho)
-    m = rho.mat
-    off = np.abs(m).copy()
-    off[np.arange(4), np.arange(4)] = 0.0
-    off[0, 3] = off[3, 0] = off[1, 2] = off[2, 1] = 0.0
-    if off.max() > X_FORM_TOL:
-        raise ValueError(f"state is not in X form (off-pattern entry {off.max():.3e})")
-    d = m.diagonal().real
-    lam1 = abs(m[0, 3]) - np.sqrt(max(d[1] * d[2], 0.0))
-    lam2 = abs(m[1, 2]) - np.sqrt(max(d[0] * d[3], 0.0))
-    return float(2.0 * max(0.0, lam1, lam2))

@@ -14,14 +14,12 @@ and H(X) off them for U, U_A and the Holevo quantity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, kron, ptrace_mat, validate_density
+from .linalg import DensityMatrix, ptrace_mat
 
 PROB_TOL = 1e-9
-NEGLIGIBLE_OUTCOME = 1e-14
 
 
 def xlog2x(p):
@@ -38,16 +36,6 @@ def spectrum_entropies(w) -> np.ndarray:
     """-sum w log2 w over the last axis after clipping roundoff-negative values to zero."""
     w = np.asarray(w, dtype=float)
     return -np.sum(xlog2x(np.where(w < 0.0, 0.0, w)), axis=-1)
-
-
-def shannon(probs, tol: float = PROB_TOL) -> float:
-    """Shannon entropy in bits of a probability distribution."""
-    p = np.asarray(probs, dtype=float)
-    if p.min(initial=0.0) < -tol or p.max(initial=0.0) > 1.0 + tol:
-        raise ValueError(f"probabilities outside [0, 1]: {p}")
-    if abs(p.sum() - 1.0) > tol:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-    return float(spectrum_entropies(p))
 
 
 def von_neumann(rho) -> float:
@@ -109,49 +97,6 @@ def basis_projectors(u: np.ndarray) -> np.ndarray:
     return cols[..., :, :, None] * cols.conj()[..., :, None, :]
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Outcome probabilities, conditional memory states, and the post-measurement state."""
-
-    probs: np.ndarray
-    conditional_states: tuple[DensityMatrix, ...]
-    post_state: DensityMatrix
-
-
-def measure_on_A(rho: DensityMatrix, meas: ProjectiveMeasurement) -> MeasurementOutcome:
-    """Apply a projective measurement to subsystem A without reading the result.
-
-    Outcomes with probability below 1e-14 get the maximally mixed conditional
-    state by convention; their weight in any entropy average is negligible.
-    Each branch is built and validated explicitly, so the test suite uses this
-    as the independent reference for :func:`branch_spectra`.
-    """
-    dA, dB = rho.dims
-    if meas.dim != dA:
-        raise ValueError(f"measurement acts on dimension {meas.dim}, state has dA={dA}")
-    eye_b = np.eye(dB, dtype=complex)
-    probs = np.empty(len(meas))
-    conditionals = []
-    post = np.zeros_like(rho.mat)
-    for i, proj in enumerate(meas.projectors):
-        op = kron(proj, eye_b)
-        branch = op @ rho.mat @ op
-        post = post + branch
-        b = ptrace_mat(branch, rho.dims, "B")
-        p = float(np.trace(b).real)
-        probs[i] = p
-        if p < NEGLIGIBLE_OUTCOME:
-            cond = validate_density(eye_b / dB, (dB, 1), tol=1e-12)
-        else:
-            cond = validate_density(b / p, (dB, 1), tol=max(rho.tol, 1e-12))
-        conditionals.append(cond)
-    probs.setflags(write=False)
-    post_state = validate_density(post, rho.dims, tol=max(rho.tol, 1e-12))
-    return MeasurementOutcome(
-        probs=probs, conditional_states=tuple(conditionals), post_state=post_state
-    )
-
-
 def branch_matrix(mats: np.ndarray, dims) -> np.ndarray:
     """Each matrix rho (..., side, side) of dims as M[(a, b), (i, j)] = rho[(a, i), (b, j)].
 
@@ -210,7 +155,7 @@ def measured_conditional_entropy(rho: DensityMatrix, meas: ProjectiveMeasurement
     """Conditional entropy S(post-measurement state) - S(B) of a rank-1 measurement on A.
 
     Equals sum_i p_i S(rho_B|i) + H(P) - S(rho_B); the test suite compares the
-    two routes, the second through :func:`measure_on_A`.
+    two routes, the second through measure_on_A of tests/oracles.py.
     """
     ranks = np.trace(meas.projectors, axis1=-2, axis2=-1).real
     if np.abs(ranks - 1.0).max() > PROB_TOL:

@@ -93,13 +93,6 @@ def ptrace_mat(mat: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
-    """Reduced state on the kept subsystem, returned with a trivial dB = 1 split."""
-    red = ptrace_mat(rho.mat, rho.dims, keep)
-    d = rho.dA if keep == "A" else rho.dB
-    return validate_density(red, (d, 1), tol=max(rho.tol, 1e-12))
-
-
 def eig_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix of side <= 16.
 

@@ -284,7 +284,8 @@ def verify(
     same result. The states go in chunks of STACK_STATES, one
     evaluate_bounds_many call each, whose reports give all four slacks. The
     single-system check is U_A = H(X) + H(Z) >= 2*S(A): an observable's
-    eigenprojectors have rank 1, so c(X) = c(Z) = 1 in single_system_bound.
+    eigenprojectors have rank 1, so c(X) = c(Z) = 1 in the bound
+    single_system_bound of tests/oracles.py.
     """
     dA, dB = dims
     if dA not in (2, 3):

@@ -6,16 +6,11 @@ import time
 
 import numpy as np
 
-from quncert.bounds import Observable, evaluate_bounds, single_system_bound, observable_measurement
-from quncert.channels import ad_closed_form, apply_kraus, local_channel, pd_closed_form
+from quncert.bounds import Observable, evaluate_bounds
+from quncert.channels import apply_kraus, local_channel
 from quncert.cli import main
-from quncert.correlations import concurrence, concurrence_x
-from quncert.entropy import (
-    measure_on_A,
-    measured_conditional_entropy,
-    shannon,
-    von_neumann,
-)
+from quncert.correlations import concurrence
+from quncert.entropy import measured_conditional_entropy, von_neumann
 from quncert.linalg import PAULI_X, PAULI_Z, ptrace_mat
 from quncert.scenarios import (
     ScenarioSpec,
@@ -27,6 +22,15 @@ from quncert.scenarios import (
 from quncert.states import bell_diagonal, isotropic, qubit_qudit, werner
 
 from helpers import random_bell_triple, random_x_state, xlog2
+from oracles import (
+    ad_closed_form,
+    concurrence_x,
+    measure_on_A,
+    observable_measurement,
+    pd_closed_form,
+    shannon,
+    single_system_bound,
+)
 
 SX = Observable(PAULI_X)
 SZ = Observable(PAULI_Z)

@@ -13,19 +13,18 @@ from quncert.bounds import (
     complementarity,
     evaluate_bounds,
     evaluate_bounds_many,
-    single_system_bound,
-    observable_measurement,
     uncertainty_sum,
 )
 from quncert.correlations import classical_correlation, concurrence
 from quncert.entropy import ProjectiveMeasurement, basis_projectors, von_neumann
-from quncert.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace, ptrace_mat
+from quncert.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron, ptrace_mat
 from quncert.linalg import validate_density
 from quncert.observables import bundled_observable, pauli_observable, su3_pair
 from quncert.scenarios import random_density, random_observable
 from quncert.states import bell_diagonal, singlet, werner
 
 from helpers import FAST, rand_unitary
+from oracles import observable_measurement, partial_trace, single_system_bound
 
 np_rng = np.random.default_rng(20240804)
 

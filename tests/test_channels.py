@@ -3,13 +3,11 @@ import pytest
 
 from quncert.channels import (
     KrausChannel,
-    ad_closed_form,
     apply_kraus,
     jc_state,
     jc_survival,
     local_channel,
     dephased_bell_diagonal,
-    pd_closed_form,
     random_field_state,
 )
 from quncert.correlations import concurrence, discord
@@ -18,6 +16,7 @@ from quncert.linalg import PAULIS, kron, validate_density
 from quncert.states import bell_diagonal, bell_like, bell_mixture
 
 from helpers import FAST, random_bell_triple
+from oracles import ad_closed_form, pd_closed_form
 
 np_rng = np.random.default_rng(20240806)
 

@@ -6,7 +6,7 @@ import pytest
 
 import quncert
 from quncert import cli, scenarios
-from quncert.bounds import STACK_STATES, evaluate_bounds, evaluate_bounds_many, single_system_bound
+from quncert.bounds import STACK_STATES, evaluate_bounds, evaluate_bounds_many
 from quncert.channels import (
     apply_kraus,
     dephased_bell_diagonal,
@@ -15,10 +15,10 @@ from quncert.channels import (
     local_channel,
     random_field_state,
 )
-from quncert.bounds import observable_measurement, uncertainty_sum
+from quncert.bounds import uncertainty_sum
 from quncert.cli import main
 from quncert.correlations import OptimizerConfig
-from quncert.linalg import partial_trace, require
+from quncert.linalg import require
 from quncert.scenarios import (
     SCENARIO_NAMES,
     ScenarioError,
@@ -29,6 +29,8 @@ from quncert.scenarios import (
     scenario_defaults,
 )
 from quncert.states import bell_diagonal, bell_mixture, isotropic, qubit_qudit, werner
+
+from oracles import observable_measurement, partial_trace, single_system_bound
 
 
 def run_cli(capsys, *argv):

@@ -15,7 +15,6 @@ from quncert.correlations import (
     classical_correlation,
     classical_correlations,
     concurrence,
-    concurrence_x,
     concurrences,
     discord,
     holevo_quantity,
@@ -29,11 +28,12 @@ from quncert.entropy import (
     mutual_information,
     von_neumann,
 )
-from quncert.linalg import PAULIS, PAULI_Z, kron, partial_trace, validate_density
+from quncert.linalg import PAULIS, PAULI_Z, kron, validate_density
 from quncert.scenarios import ScenarioSpec, random_density, run_scenario
 from quncert.states import bell_diagonal, bell_like, singlet, werner
 
 from helpers import FAST, pauli_measurement, rand_unitary, random_x_state
+from oracles import concurrence_x, partial_trace
 
 np_rng = np.random.default_rng(20240803)
 

@@ -10,19 +10,18 @@ from quncert.entropy import (
     branch_spectra,
     conditional_entropy,
     entropies,
-    measure_on_A,
     measured_conditional_entropy,
     mutual_information,
-    shannon,
     spectrum_entropies,
     von_neumann,
     xlog2x,
 )
-from quncert.linalg import PAULI_X, PAULI_Z, kron, partial_trace, ptrace_mat, validate_density
+from quncert.linalg import PAULI_X, PAULI_Z, kron, ptrace_mat, validate_density
 from quncert.states import bell_diagonal, singlet, werner
 from quncert.scenarios import random_density
 
 from helpers import pauli_measurement
+from oracles import measure_on_A, partial_trace, shannon
 
 np_rng = np.random.default_rng(20240802)
 

@@ -7,12 +7,12 @@ from quncert.linalg import (
     StateError,
     eig_hermitian,
     kron,
-    partial_trace,
     ptrace_mat,
     validate_density,
 )
 from quncert.states import bell_diagonal, singlet, werner
-from quncert.channels import ad_closed_form
+
+from oracles import ad_closed_form, partial_trace
 
 np_rng = np.random.default_rng(20240801)
 
