@@ -33,11 +33,12 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
 
 
 def shannon(probs, tol: float = PROB_TOL) -> float:
-    """Shannon entropy in bits of a probability distribution."""
+    """Shannon entropy in bits of a probability distribution; NaN entries are rejected."""
     p = np.asarray(probs, dtype=float)
-    if p.min(initial=0.0) < -tol or p.max(initial=0.0) > 1.0 + tol:
+    # negated, so that a NaN, which fails every comparison, fails the check
+    if not (p.min(initial=0.0) >= -tol and p.max(initial=0.0) <= 1.0 + tol):
         raise ValueError(f"probabilities outside [0, 1]: {p}")
-    if abs(p.sum() - 1.0) > tol:
+    if not abs(p.sum() - 1.0) <= tol:
         raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
     return float(spectrum_entropies(p))
 

@@ -82,6 +82,8 @@ def test_shannon_rejects_bad_distribution():
         shannon([0.5, 0.6])
     with pytest.raises(ValueError):
         shannon([1.2, -0.2])
+    with pytest.raises(ValueError):
+        shannon([np.nan, 1.0])
 
 
 def test_von_neumann_maximally_mixed():
