@@ -38,6 +38,7 @@ from .linalg import DensityMatrix, EigenSystem, adjoint, eig_hermitian, shared_d
 DEGENERACY_GAP = 1e-9
 BOUND_TOL = 1e-9
 BOUND_TOL_OPT = 1e-4
+TIE_TOL = 1e-9
 # Most states evaluated in one stack; it bounds the J search's lane arrays on long sweeps.
 STACK_STATES = 128
 
@@ -49,9 +50,9 @@ class ObservableDimensionError(ValueError):
 class Observable:
     """A non-degenerate Hermitian observable and its eigensystem; U and c read only its eigenbasis."""
 
-    def __init__(self, mat: np.ndarray, tol: float = 1e-9):
+    def __init__(self, mat: np.ndarray):
         self.mat = np.asarray(mat, dtype=complex)
-        self.eigensystem: EigenSystem = eig_hermitian(self.mat, tol=tol)
+        self.eigensystem: EigenSystem = eig_hermitian(self.mat)
         gaps = np.diff(self.eigensystem.values)
         self.degeneracy_gap = float(gaps.min()) if gaps.size else np.inf
         if self.degeneracy_gap <= DEGENERACY_GAP:
@@ -118,11 +119,11 @@ class BoundReport:
             out.append(f"U_b3 exceeds U by {self.U_b3 - self.U:.3e}")
         return out
 
-    def tightest(self, tie_tol: float = 1e-9) -> str:
-        """Which lower bound comes closest to U, with ties reported."""
+    def tightest(self) -> str:
+        """Which lower bound comes closest to U, with ties within TIE_TOL reported."""
         bounds = {"U_b1": self.U_b1, "U_b2": self.U_b2, "U_b3": self.U_b3}
         best = max(bounds.values())
-        names = [k for k, v in bounds.items() if v >= best - tie_tol]
+        names = [k for k, v in bounds.items() if v >= best - TIE_TOL]
         if len(names) == 1:
             return names[0]
         return f"{names[0]} (ties with {', '.join(names[1:])})"

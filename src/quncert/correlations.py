@@ -5,9 +5,9 @@ The classical correlation is the maximum Holevo quantity over rank-1
 projective measurements on subsystem A, each given by a basis U of A measured
 along its columns. One search serves qubit and qutrit A, and one stack of
 states of one dims at a time: each state scores every start with one
-:func:`quncert.entropy.branch_spectra` call, and the best bases of all states
-are then polished together by one Newton search in the moving frame
-U exp(i sum c_k T_k), where the T_k are the dA(dA-1) off-diagonal Hermitian
+:func:`quncert.entropy.branch_spectra` call, and the same function then climbs
+from the best bases of all states together, by one Newton loop in the moving
+frame U exp(i sum c_k T_k), where the T_k are the dA(dA-1) off-diagonal Hermitian
 generators, the directions that change the measurement (a retraction on U(d);
 Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008;
 Abrudan, Eriksson & Koivunen, IEEE TSP 56:1134, 2008). Each Newton iteration
@@ -46,8 +46,8 @@ from .linalg import PAULI_Y, DensityMatrix, adjoint, kron
 
 DISCORD_NOISE = 1e-6
 _SPIN_FLIP = kron(PAULI_Y, PAULI_Y)
-# Newton polish: line-search fractions of the step, longest step, and the least
-# gain in bits a step must promise; below it only roundoff is left.
+# The Newton loop of _search: line-search fractions of the step, longest step,
+# and the least gain in bits a step must promise; below it only roundoff is left.
 LINE_STEPS = np.array([1.0, 0.25, 0.0625, 0.015625])
 MAX_MOVE = 0.25
 MIN_GAIN = 1e-15
@@ -216,34 +216,45 @@ class _Frame:
 _FRAMES = {d: _Frame(d) for d in (2, 3)}
 
 
-def _polish(value, derivatives, u: np.ndarray, fu: np.ndarray, iters: int):
-    """Newton search for the maxima of value from the lanes u (L, d, d), where fu = value at u.
+def _search(mats: np.ndarray, dims, starts: np.ndarray, keep: int, iters: int):
+    """Maximize the Holevo quantity over measurement bases for a stack (N, side, side) of dims.
 
-    value(bases, lanes) maps trial bases (M, T, d, d) of the M lanes indexed by
-    lanes to (M, T), and derivatives(bases, lanes) maps their bases (M, d, d)
-    to the gradient (M, P) and Hessian (M, P, P) of value in the frame of
-    _Frame. Each iteration makes one derivatives call and one value call for
-    the lanes still searching: a backtracking line search at LINE_STEPS of the
-    Newton step. A lane moves to its best line point only if that strictly
-    improves on fu, so every value is one value returned for the basis it
-    returns. A lane stops for good, and leaves both calls, when it does not
-    improve or when its step promises less than MIN_GAIN (from the same point
-    it would take the same step again; on a flat landscape, such as a product
-    state's, the derivatives are roundoff and so is the gain). The search ends
-    when every lane has stopped, or after iters iterations. Each lane makes the
-    same moves as a search of its own. Returns the lanes' bases and values.
+    The start bases (S, dA, dA) are measured along their columns, and each
+    state scores them with one kernel call. The best min(keep, S) starts of
+    every state are the lanes of one Newton search in the frame of _Frame,
+    each lane holding its state's branch matrix and S(B). Each iteration makes
+    one derivatives call and one kernel call for the lanes still searching: a
+    backtracking line search at LINE_STEPS of the Newton step. A lane moves to
+    its best line point only if that strictly improves on its value, so every
+    value is the kernel's value at the basis returned. A lane stops for good,
+    and leaves both calls, when it does not improve or when its step promises
+    less than MIN_GAIN (from the same point it would take the same step again;
+    on a flat landscape, such as a product state's, the derivatives are
+    roundoff and so is the gain). The search ends when every lane has stopped,
+    or after iters iterations. Each lane's gemm and small LAPACK calls have the
+    same shapes whatever the other lanes are, so each lane makes the same moves
+    as a search of its own and a state's result does not depend on its stack.
+    Returns each state's best value and its basis.
     """
-    frame = _FRAMES[u.shape[-1]]
-    u, fu = u.copy(), fu.copy()
+    n = len(mats)
+    m, s_b = branch_matrix(mats, dims), entropies(mats, dims, "B")
+    start_projectors = basis_projectors(starts)
+    # state by state for memory: at grid 1024 one (2, 4) state's branches take ~268 MB
+    scores = np.array([_holevo(s, branch_spectra(mi, start_projectors)) for s, mi in zip(s_b, m)])
+    kept = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
+    state = np.repeat(np.arange(n), kept.shape[1])
+    m, s_b = m[state], s_b[state]  # one row per lane from here on
+    u, fu = starts[kept.ravel()], np.take_along_axis(scores, kept, axis=1).ravel()
+    frame = _FRAMES[starts.shape[-1]]
     live = np.arange(len(fu))
     for _ in range(iters):
-        step, gain = frame.newton_step(*derivatives(u[live], live))
+        step, gain = frame.newton_step(*frame.derivatives(m[live], u[live]))
         go = gain >= MIN_GAIN
         live, step = live[go], step[go]
         if not live.size:
             break
         trial = u[live, None] @ frame.moves(step, LINE_STEPS)
-        f_trial = value(trial, live)
+        f_trial = _holevo(s_b[live, None], branch_spectra(m[live], basis_projectors(trial)))
         pick = f_trial.argmax(axis=-1)
         best = f_trial[np.arange(len(live)), pick]
         up = best > fu[live]
@@ -251,39 +262,6 @@ def _polish(value, derivatives, u: np.ndarray, fu: np.ndarray, iters: int):
         u[live], fu[live] = trial[up, pick[up]], best[up]
         if not live.size:
             break
-    return u, fu
-
-
-def _search(mats: np.ndarray, dims, starts: np.ndarray, keep: int, iters: int):
-    """Maximize the Holevo quantity over measurement bases for a stack (N, side, side) of dims.
-
-    The start bases (S, dA, dA) are measured along their columns, and each
-    state scores them with one kernel call. The best min(keep, S) starts of
-    every state are lanes of one _polish, each knowing its state. Each lane's
-    gemm and small LAPACK calls have the same shapes whatever the other lanes
-    are, so a state's result does not depend on its stack. Returns each
-    state's best value and its basis.
-    """
-    n = len(mats)
-    m, s_b = branch_matrix(mats, dims), entropies(mats, dims, "B")
-    start_projectors = basis_projectors(starts)
-    # state by state for memory: at grid 1024 one (2, 4) state's branches take ~268 MB
-    scores = np.array([_holevo(s, branch_spectra(mi, start_projectors)) for s, mi in zip(s_b, m)])
-    best = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
-    state = np.repeat(np.arange(n), best.shape[1])
-
-    frame = _FRAMES[starts.shape[-1]]
-
-    def value(bases, lanes):
-        # one gemm per lane, against the branch matrix of the lane's state
-        own = state[lanes]
-        return _holevo(s_b[own, None], branch_spectra(m[own], basis_projectors(bases)))
-
-    def derivatives(bases, lanes):
-        return frame.derivatives(m[state[lanes]], bases)
-
-    f0 = np.take_along_axis(scores, best, axis=1).ravel()
-    u, fu = _polish(value, derivatives, starts[best.ravel()], f0, iters)
     fu, u = fu.reshape(n, -1), u.reshape(n, -1, *starts.shape[1:])
     top = fu.argmax(axis=1)
     return fu[np.arange(n), top], u[np.arange(n), top]

@@ -20,6 +20,7 @@ import numpy as np
 from .linalg import DensityMatrix, ptrace_mat
 
 PROB_TOL = 1e-9
+PROJECTOR_TOL = 1e-9
 
 
 def xlog2x(p):
@@ -63,20 +64,20 @@ def mutual_information(rho: DensityMatrix) -> float:
 class ProjectiveMeasurement:
     """A complete family of mutually orthogonal projectors on subsystem A."""
 
-    def __init__(self, projectors, tol: float = 1e-9):
+    def __init__(self, projectors):
         ps = np.array([np.asarray(p, dtype=complex) for p in projectors])
         d = ps.shape[-1]
         if ps.ndim != 3 or ps.shape[-2] != d:
             raise ValueError("projectors must be a sequence of equal square matrices")
-        if np.abs(ps.sum(axis=0) - np.eye(d)).max() > tol:
+        if np.abs(ps.sum(axis=0) - np.eye(d)).max() > PROJECTOR_TOL:
             raise ValueError("projector family is not complete")
         for i, p in enumerate(ps):
-            if np.abs(p - p.conj().T).max() > tol:
+            if np.abs(p - p.conj().T).max() > PROJECTOR_TOL:
                 raise ValueError(f"projector {i} is not Hermitian")
-            if np.abs(p @ p - p).max() > tol:
+            if np.abs(p @ p - p).max() > PROJECTOR_TOL:
                 raise ValueError(f"projector {i} is not idempotent")
             for j in range(i):
-                if np.abs(ps[j] @ p).max() > tol:
+                if np.abs(ps[j] @ p).max() > PROJECTOR_TOL:
                     raise ValueError(f"projectors {j} and {i} are not orthogonal")
         ps.setflags(write=False)
         self.projectors = ps
@@ -86,9 +87,9 @@ class ProjectiveMeasurement:
         return self.projectors.shape[0]
 
     @classmethod
-    def from_basis(cls, vectors: np.ndarray, tol: float = 1e-9) -> "ProjectiveMeasurement":
+    def from_basis(cls, vectors: np.ndarray) -> "ProjectiveMeasurement":
         """Rank-1 projectors onto the columns of an orthonormal matrix."""
-        return cls(basis_projectors(np.asarray(vectors, dtype=complex)), tol=tol)
+        return cls(basis_projectors(np.asarray(vectors, dtype=complex)))
 
 
 def basis_projectors(u: np.ndarray) -> np.ndarray:

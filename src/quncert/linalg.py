@@ -93,7 +93,7 @@ def ptrace_mat(mat: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def eig_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> EigenSystem:
+def eig_hermitian(m: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix of side <= 16.
 
     Eigenvalues come back ascending; within a degenerate cluster the columns
@@ -105,8 +105,8 @@ def eig_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> EigenSystem:
     if m.shape[0] > MAX_SIDE:
         raise ValueError(f"side {m.shape[0]} exceeds supported maximum {MAX_SIDE}")
     dev = np.abs(m - adjoint(m)).max()
-    if not dev <= tol:
-        raise ValueError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
+    if not dev <= DEFAULT_TOL:
+        raise ValueError(f"matrix is not Hermitian within {DEFAULT_TOL:g} (deviation {dev:.3e})")
     values, vectors = np.linalg.eigh(m)
     return EigenSystem(values=values, vectors=vectors)
 

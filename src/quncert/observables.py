@@ -8,6 +8,7 @@ package as bundled data files.
 
 from __future__ import annotations
 
+import cmath
 import re
 from importlib import resources
 
@@ -33,10 +34,12 @@ def parse_complex_token(token: str) -> complex:
     if m is None:
         raise ObservableFormatError(f"cannot parse complex token {token!r}")
     if m.group("im_only") is not None:
-        return complex(0.0, float(m.group("im_only")))
-    re_part = float(m.group("re"))
-    im_part = float(m.group("im")) if m.group("im") else 0.0
-    return complex(re_part, im_part)
+        value = complex(0.0, float(m.group("im_only")))
+    else:
+        value = complex(float(m.group("re")), float(m.group("im") or 0.0))
+    if not cmath.isfinite(value):
+        raise ObservableFormatError(f"complex token {token!r} is not finite")
+    return value
 
 
 def parse_observable_text(text: str) -> np.ndarray:
@@ -59,12 +62,13 @@ def parse_observable_text(text: str) -> np.ndarray:
 
 
 def load_observable_file(path: str) -> Observable:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return Observable(parse_observable_text(text))
-    except ObservableFormatError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            return Observable(parse_observable_text(fh.read()))
+    except UnicodeDecodeError as exc:
         raise ObservableFormatError(f"{path}: {exc}") from None
+    except ValueError as exc:  # malformed, not Hermitian, too large or degenerate
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def bundled_observable(name: str) -> Observable:

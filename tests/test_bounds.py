@@ -15,7 +15,7 @@ from quncert.bounds import (
     evaluate_bounds_many,
     uncertainty_sum,
 )
-from quncert.correlations import classical_correlation, concurrence
+from quncert.correlations import classical_correlation, classical_correlations, concurrence
 from quncert.entropy import ProjectiveMeasurement, basis_projectors, von_neumann
 from quncert.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron, ptrace_mat
 from quncert.linalg import validate_density
@@ -328,6 +328,13 @@ def test_evaluate_bounds_many_rejects_unequal_lengths(counts):
     rhos = [random_density(np_rng, (2, 2)) for _ in range(n_rho)]
     with pytest.raises(ValueError, match=f"{n_rho} states, {n_x} X and {n_z} Z"):
         evaluate_bounds_many(rhos, [SX] * n_x, [SZ] * n_z)
+
+
+def test_empty_stack_gives_empty_results():
+    # the J search cannot score an empty stack, so both entry points return before it
+    j = classical_correlations(np.empty((0, 4, 4), complex), (2, 2))
+    assert j.dtype == float and j.shape == (0,)
+    assert evaluate_bounds_many([], [], []) == []
 
 
 def pure_and_product(rng, dims):

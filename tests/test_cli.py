@@ -189,6 +189,24 @@ def test_scenario_obs_file(capsys, tmp_path):
     assert abs(row[1] - expected) < 1e-8
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 1\n1 oops", "line 2, column 3: cannot parse complex token 'oops'"),
+    ("0 1e400\n1e400 0", "line 1, column 3: complex token '1e400' is not finite"),
+    ("0 1\n0 0", "matrix is not Hermitian within 1e-09 (deviation 1.000e+00)"),
+    ("\n".join(" ".join("1" if i == j else "0" for j in range(17)) for i in range(17)),
+     "side 17 exceeds supported maximum 16"),
+    ("1 0\n0 1", "degenerate observable: eigenvalue gap 0.000e+00 <= 1e-09"),
+    ("\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["format", "non-finite", "not-hermitian", "side-17", "degenerate", "not-utf-8"])
+def test_bad_obs_file_is_named_in_its_usage_error(capsys, tmp_path, text, message):
+    x, z = tmp_path / "x.txt", tmp_path / "z.txt"
+    x.write_text("0 1\n1 0\n")
+    z.write_bytes(text.encode("latin-1"))
+    code, out, err = run_cli(capsys, "info", "--state", "werner:d=2,f=0.8", "--obs-file", str(x), str(z))
+    assert code == 1 and out == ""
+    assert err == f"usage error: {z}: {message}\n"
+
+
 def test_verify_small_run(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--n", "20", "--dims", "2,2", "--seed", "3", "--grid", "32"

@@ -6,8 +6,6 @@ from quncert.correlations import (
     OptimizerConfig,
     _FRAMES,
     _Frame,
-    _holevo,
-    _polish,
     _search,
     _search_plan,
     _starts,
@@ -24,7 +22,6 @@ from quncert.entropy import (
     basis_projectors,
     branch_matrix,
     branch_spectra,
-    entropies,
     mutual_information,
     von_neumann,
 )
@@ -230,9 +227,23 @@ def test_ridge_state_173_reaches_closed_form():
     assert abs(classical_correlation(rho) - want) <= 1e-12
 
 
-def test_newton_lanes_match_one_lane_searches():
+def test_newton_lanes_match_one_lane_searches(monkeypatch):
     # each lane searches its own state (a flat product state, a pure state and HS-random
-    # states) from a random basis, so the lanes stop after different numbers of iterations
+    # states) from one shared random basis, so the lanes stop after different numbers of
+    # iterations; every derivative and line-search call is recorded, and each of its rows
+    # is told to a lane by the branch matrix of the lane's state
+    calls = []
+
+    def recorded(kind, kernel):
+        def call(*args):
+            m, x = args[-2:]
+            if m.ndim == 3:  # scoring passes one state's 2-D branch matrix
+                calls.append((kind, m, x))
+            return kernel(*args)
+        return call
+
+    monkeypatch.setattr(correlations, "branch_spectra", recorded("value", branch_spectra))
+    monkeypatch.setattr(_Frame, "derivatives", recorded("derivatives", _Frame.derivatives))
     rng = np.random.default_rng(20241020)
     for dims in ((2, 3), (3, 2)):
         d_a = dims[0]
@@ -240,49 +251,42 @@ def test_newton_lanes_match_one_lane_searches():
                                         random_density(rng, (dims[1], 1)).mat), dims),
                   stack_corpus(dims, rng)[0]]
         states += [random_density(rng, dims) for _ in range(3)]
-        u0 = np.array([rand_unitary(d_a, rng) for _ in states])
+        # one draw per state keeps the (3, 2) states of this seed; every state starts at the first
+        start = np.array([rand_unitary(d_a, rng) for _ in states])[:1]
+        mats = np.array([rho.mat for rho in states])
+        ms = branch_matrix(mats, dims)
 
-        def run(idx):
-            # lane l searches states[idx[l]]; returns its bases, values, the lanes of every
-            # derivative and value call, and each lane's derivative inputs and trial bases
-            mats = np.array([states[i].mat for i in idx])
-            m, s_b = branch_matrix(mats, dims), entropies(mats, dims, "B")
-            calls = {"derivatives": [], "value": []}
-            seen = {kind: [[] for _ in idx] for kind in calls}
-
-            def record(kind, bases, lanes):
-                calls[kind].append(lanes.tolist())
-                for lane, b in zip(lanes, bases):
-                    seen[kind][lane].append(b.copy())
-
-            def value(bases, lanes):
-                record("value", bases, lanes)
-                return _holevo(s_b[lanes, None], branch_spectra(m[lanes], basis_projectors(bases)))
-
-            def derivatives(bases, lanes):
-                record("derivatives", bases, lanes)
-                return _FRAMES[d_a].derivatives(m[lanes], bases)
-
-            fu0 = _holevo(s_b[:, None], branch_spectra(m, basis_projectors(u0[idx, None])))[:, 0]
-            u, fu = _polish(value, derivatives, u0[idx], fu0, iters=12)
-            return u, fu, calls, seen
+        def run(lo, hi):
+            # searches states lo..hi-1; returns their values and bases, the lanes of every
+            # call of each kind, and each lane's derivative bases and trial projectors
+            calls.clear()
+            values, bases = _search(mats[lo:hi], dims, start, 1, iters=12)
+            lanes = {"derivatives": [], "value": []}
+            seen = {kind: [[] for _ in states] for kind in lanes}
+            for kind, m, x in calls:
+                # exactly one state has each row's branch matrix
+                here = [[k for k, mk in enumerate(ms) if np.array_equal(mi, mk)] for mi in m]
+                lanes[kind].append([k for (k,) in here])
+                for (k,), xi in zip(here, x):
+                    seen[kind][k].append(xi)
+            return values, bases, lanes, seen
 
         idx = list(range(len(states)))
-        u_all, fu_all, calls_all, seen_all = run(idx)
+        values_all, bases_all, lanes_all, seen_all = run(0, len(states))
         for l in idx:
-            u_one, fu_one, calls_one, seen_one = run([l])
-            assert fu_all[l] == fu_one[0]
-            assert np.array_equal(u_all[l], u_one[0])
-            for kind in calls_all:
-                mine, alone = seen_all[kind][l], seen_one[kind][0]
+            values_one, bases_one, lanes_one, seen_one = run(l, l + 1)
+            assert values_all[l] == values_one[0]
+            assert np.array_equal(bases_all[l], bases_one[0])
+            for kind in lanes_all:
+                mine, alone = seen_all[kind][l], seen_one[kind][l]
                 assert len(mine) == len(alone)
                 assert all(np.array_equal(a, b) for a, b in zip(mine, alone))
                 # a lane is in every call of a kind until it stops, and in none after
-                present = [l in lanes for lanes in calls_all[kind]]
+                present = [l in lanes for lanes in lanes_all[kind]]
                 assert present == sorted(present, reverse=True)
-                assert sum(present) == len(calls_one[kind])
-        lengths = [sum(l in lanes for lanes in calls_all["derivatives"]) for l in idx]
-        assert len(set(lengths)) > 1 and max(lengths) == len(calls_all["derivatives"])
+                assert sum(present) == len(lanes_one[kind])
+        lengths = [sum(l in lanes for lanes in lanes_all["derivatives"]) for l in idx]
+        assert len(set(lengths)) > 1 and max(lengths) == len(lanes_all["derivatives"])
 
 
 @pytest.mark.parametrize("d_b", [2, 3])

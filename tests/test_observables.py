@@ -42,6 +42,14 @@ def test_parse_text_reports_position():
         parse_observable_text("0 1\n1 oops")
 
 
+@pytest.mark.parametrize("text, where", [("1 0\n0 1e400", "line 2, column 3"),
+                                         ("1 1-1e400i\n1+1e400i 1", "line 1, column 3"),
+                                         ("1 -1e400i\n1e400i 1", "line 1, column 3")])
+def test_parse_text_rejects_non_finite_entry_at_its_position(text, where):
+    with pytest.raises(ObservableFormatError, match=f"^{where}: complex token .* is not finite$"):
+        parse_observable_text(text)
+
+
 def test_parse_text_rejects_non_square():
     with pytest.raises(ObservableFormatError, match="square"):
         parse_observable_text("1 2 3")
