@@ -34,8 +34,6 @@ from .entropy import (
 )
 from .linalg import (
     DensityMatrix,
-    EigenSystem,
-    eig_hermitian,
     kron,
     validate_density,
 )
@@ -54,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "DensityMatrix",
-    "EigenSystem",
     "KrausChannel",
     "Observable",
     "OptimizerConfig",
@@ -69,7 +66,6 @@ __all__ = [
     "concurrence",
     "conditional_entropy",
     "discord",
-    "eig_hermitian",
     "evaluate_bounds",
     "holevo_quantity",
     "isotropic",

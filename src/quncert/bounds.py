@@ -33,8 +33,9 @@ from .correlations import OptimizerConfig, clamp_discord, concurrences
 from .correlations import classical_correlation, classical_correlations
 from .entropy import ProjectiveMeasurement, basis_projectors, branch_entropies, branch_matrix
 from .entropy import branch_spectra, entropies, measured_conditional_entropy
-from .linalg import DensityMatrix, EigenSystem, adjoint, eig_hermitian, shared_dims
+from .linalg import DEFAULT_TOL, DensityMatrix, adjoint, shared_dims
 
+MAX_SIDE = 16
 DEGENERACY_GAP = 1e-9
 BOUND_TOL = 1e-9
 BOUND_TOL_OPT = 1e-4
@@ -48,17 +49,27 @@ class ObservableDimensionError(ValueError):
 
 
 class Observable:
-    """A non-degenerate Hermitian observable and its eigensystem; U and c read only its eigenbasis."""
+    """A non-degenerate Hermitian observable of side <= MAX_SIDE; U and c read only its eigenbasis.
+
+    Holds the matrix ``mat``, its eigenvalues ``values`` in ascending order
+    and the matching orthonormal eigenvectors as the columns of ``basis``.
+    """
 
     def __init__(self, mat: np.ndarray):
-        self.mat = np.asarray(mat, dtype=complex)
-        self.eigensystem: EigenSystem = eig_hermitian(self.mat)
-        gaps = np.diff(self.eigensystem.values)
-        self.degeneracy_gap = float(gaps.min()) if gaps.size else np.inf
-        if self.degeneracy_gap <= DEGENERACY_GAP:
-            raise ValueError(
-                f"degenerate observable: eigenvalue gap {self.degeneracy_gap:.3e} <= {DEGENERACY_GAP:g}"
-            )
+        m = np.asarray(mat, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        if m.shape[0] > MAX_SIDE:
+            raise ValueError(f"side {m.shape[0]} exceeds supported maximum {MAX_SIDE}")
+        dev = np.abs(m - adjoint(m)).max()
+        if not dev <= DEFAULT_TOL:
+            raise ValueError(f"matrix is not Hermitian within {DEFAULT_TOL:g} (deviation {dev:.3e})")
+        values, basis = np.linalg.eigh(m)
+        gaps = np.diff(values)
+        gap = float(gaps.min()) if gaps.size else np.inf
+        if gap <= DEGENERACY_GAP:
+            raise ValueError(f"degenerate observable: eigenvalue gap {gap:.3e} <= {DEGENERACY_GAP:g}")
+        self.mat, self.values, self.basis = m, values, basis
 
     @property
     def dim(self) -> int:
@@ -74,13 +85,13 @@ def complementarity(x: Observable, z: Observable) -> float:
     """c = max_(i,j) |<x_i|z_j>|^2; lies in [1/d, 1]."""
     if x.dim != z.dim:
         raise ValueError(f"observable dimensions differ: {x.dim} vs {z.dim}")
-    return float(_complementarities(np.array([[x.eigensystem.vectors, z.eigensystem.vectors]]))[0])
+    return float(_complementarities(np.array([[x.basis, z.basis]]))[0])
 
 
 def uncertainty_sum(rho: DensityMatrix, x: Observable, z: Observable) -> float:
     """U = S(X|B) + S(Z|B) for measurements on subsystem A."""
-    mx = ProjectiveMeasurement.from_basis(x.eigensystem.vectors)
-    mz = ProjectiveMeasurement.from_basis(z.eigensystem.vectors)
+    mx = ProjectiveMeasurement.from_basis(x.basis)
+    mz = ProjectiveMeasurement.from_basis(z.basis)
     return measured_conditional_entropy(rho, mx) + measured_conditional_entropy(rho, mz)
 
 
@@ -143,7 +154,7 @@ def _reports(mats: np.ndarray, dims, xs, zs, classical) -> list[BoundReport]:
     estimate that enters the discord, so D - J = I - 2J stays internally consistent.
     """
     s_ab, s_a, s_b = (entropies(mats, dims, part) for part in ("AB", "A", "B"))
-    bases = np.array([[x.eigensystem.vectors, z.eigensystem.vectors] for x, z in zip(xs, zs)])
+    bases = np.array([[x.basis, z.basis] for x, z in zip(xs, zs)])
     mu = branch_spectra(branch_matrix(mats, dims), basis_projectors(bases))  # (N, 2, K, dB)
     s_post, h = branch_entropies(mu)
     u = (s_post[:, 0] - s_b) + (s_post[:, 1] - s_b)

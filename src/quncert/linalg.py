@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernel: tensor products, partial traces, Hermitian
-eigendecomposition, and density-matrix validation.
+"""Dense complex-matrix kernel: tensor products, partial traces and
+density-matrix validation.
 
 Everything operates on plain ``numpy`` arrays; states carry their bipartite
 split (dA, dB) in a small immutable :class:`DensityMatrix` wrapper. A
@@ -9,24 +9,15 @@ single-system state is represented with dB = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-MAX_SIDE = 16
 DEFAULT_TOL = 1e-9
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
-
-
-class EigenSystem(NamedTuple):
-    """Eigenvalues in ascending order and the matching orthonormal column vectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -91,24 +82,6 @@ def ptrace_mat(mat: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
     if keep == "B":
         return np.trace(r, axis1=-4, axis2=-2)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def eig_hermitian(m: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix of side <= 16.
-
-    Eigenvalues come back ascending; within a degenerate cluster the columns
-    are an arbitrary orthonormal basis of the eigenspace.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_SIDE:
-        raise ValueError(f"side {m.shape[0]} exceeds supported maximum {MAX_SIDE}")
-    dev = np.abs(m - adjoint(m)).max()
-    if not dev <= DEFAULT_TOL:
-        raise ValueError(f"matrix is not Hermitian within {DEFAULT_TOL:g} (deviation {dev:.3e})")
-    values, vectors = np.linalg.eigh(m)
-    return EigenSystem(values=values, vectors=vectors)
 
 
 class StateError(ValueError):

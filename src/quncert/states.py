@@ -91,15 +91,13 @@ def bell_diagonal(c1: float, c2: float, c3: float) -> DensityMatrix:
         raise StateError(f"invalid correlation triple ({triple}): {exc}", exc.index) from None
 
 
-def qubit_qudit(
-    alpha: float, gamma: float, kind: str = "qutrit", beta: float | None = None
-) -> DensityMatrix:
+def qubit_qudit(alpha: float, gamma: float, kind: str = "qutrit") -> DensityMatrix:
     """Qubit x qutrit (or ququart) mixture of padded kets and Bell components.
 
     The Bell components live in the first two levels of the qudit; alpha
-    weights each |i, j>=2 level. beta defaults to the value fixed by unit
-    trace: (1 - 2*alpha - gamma)/3 for the qutrit, (1 - 4*alpha - gamma)/3
-    for the ququart. The weights broadcast.
+    weights each |i, j>=2 level. beta is fixed by unit trace:
+    (1 - 2*alpha - gamma)/3 for the qutrit, (1 - 4*alpha - gamma)/3 for the
+    ququart. The weights broadcast.
     """
     if kind == "qutrit":
         dB, pad_levels = 3, (2,)
@@ -108,12 +106,9 @@ def qubit_qudit(
     else:
         raise ValueError(f"kind must be 'qutrit' or 'ququart', got {kind!r}")
     n_pad = 2 * len(pad_levels)
-    if beta is None:
-        beta = (1.0 - n_pad * alpha - gamma) / 3.0
+    beta = (1.0 - n_pad * alpha - gamma) / 3.0
     require(~np.less(np.minimum(np.minimum(alpha, beta), gamma), -CONSTRUCT_TOL),
             "negative weight among alpha={}, beta={}, gamma={}", alpha, beta, gamma)
-    total = n_pad * alpha + 3.0 * beta + gamma
-    require(~np.greater(abs(total - 1.0), CONSTRUCT_TOL), "weights sum to {!r}, not 1", total)
     alpha, beta, gamma = (np.asarray(w)[..., None, None] for w in (alpha, beta, gamma))
     phi_p, phi_m, psi_p, psi_m = _bell_vectors(dB)
     mat = np.zeros((2 * dB, 2 * dB), dtype=complex)

@@ -88,7 +88,7 @@ def measure_on_A(rho: DensityMatrix, meas: ProjectiveMeasurement) -> Measurement
 
 def observable_measurement(obs: Observable) -> ProjectiveMeasurement:
     """Rank-1 eigenprojectors of a non-degenerate observable, built and checked per call."""
-    return ProjectiveMeasurement.from_basis(obs.eigensystem.vectors)
+    return ProjectiveMeasurement.from_basis(obs.basis)
 
 
 def _max_element_trace(povm, d: int, tol: float = 1e-9) -> float:

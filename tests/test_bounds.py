@@ -38,6 +38,21 @@ def test_observable_rejects_degenerate():
         Observable(np.eye(2))
 
 
+@pytest.mark.parametrize("mat, message", [
+    (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+    (np.zeros((2, 2, 2)), "expected a square matrix, got shape (2, 2, 2)"),
+    (np.diag(np.arange(17.0)), "side 17 exceeds supported maximum 16"),
+    (np.triu(np.ones((17, 17))), "side 17 exceeds supported maximum 16"),
+    ([[0, 1], [0, 0]], "matrix is not Hermitian within 1e-09 (deviation 1.000e+00)"),
+    (np.eye(2), "degenerate observable: eigenvalue gap 0.000e+00 <= 1e-09"),
+], ids=["2x3", "2x2x2", "side-17", "side-17-not-hermitian", "not-hermitian", "degenerate"])
+def test_observable_checks_run_in_order(mat, message):
+    # shape, side, Hermiticity, gap: the 17x17 triangle is not Hermitian either but reports its side
+    with pytest.raises(ValueError) as info:
+        Observable(mat)
+    assert str(info.value) == message
+
+
 def test_observable_measurement_sigma_z():
     meas = observable_measurement(SZ)
     assert len(meas) == 2
@@ -84,7 +99,7 @@ def test_observable_measurement_is_the_reports_projectors():
     rng = np.random.default_rng(5)
     observables = build_observables() + [random_observable(rng, d) for d in (2, 3)]
     for obs in observables:
-        want = basis_projectors(obs.eigensystem.vectors)
+        want = basis_projectors(obs.basis)
         assert observable_measurement(obs).projectors.tobytes() == want.tobytes()
 
 

@@ -355,6 +355,27 @@ def test_product_state_search_stops_after_one_stencil(dims, monkeypatch):
     assert calls == ["branch_spectra", "derivatives"]
 
 
+def test_line_search_that_does_not_improve_leaves_each_lane_where_it_was(monkeypatch):
+    # one line point 16 times the Newton step overshoots on every lane, so no lane may move:
+    # each keeps its best start and that start's score, even where another lane scores lower
+    starts = _starts(2, OptimizerConfig())
+    mats = np.array([random_density(np.random.default_rng((3, i)), (2, 3)).mat for i in range(8)])
+    scored, kept = _search(mats, (2, 3), starts, 1, iters=0)
+    line_searches = []
+
+    def counted(*args):
+        if args[-2].ndim == 3:  # scoring passes one state's 2-D branch matrix
+            line_searches.append(len(args[-2]))
+        return branch_spectra(*args)
+
+    monkeypatch.setattr(correlations, "branch_spectra", counted)
+    monkeypatch.setattr(correlations, "LINE_STEPS", np.array([16.0]))
+    values, bases = _search(mats, (2, 3), starts, 1, iters=5)
+    assert values.tolist() == scored.tolist()
+    assert np.array_equal(bases, kept)
+    assert line_searches == [8]
+
+
 def stack_corpus(dims, rng):
     """Two pure, two classical-quantum and three HS-random states of the given dims."""
     d_a, d_b = dims

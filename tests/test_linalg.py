@@ -5,12 +5,12 @@ from quncert.linalg import (
     PAULI_Z,
     DensityMatrix,
     StateError,
-    eig_hermitian,
     kron,
     ptrace_mat,
     validate_density,
 )
-from quncert.states import bell_diagonal, singlet, werner
+from quncert.bounds import Observable
+from quncert.states import bell_diagonal, singlet
 
 from oracles import ad_closed_form, partial_trace
 
@@ -105,13 +105,8 @@ def test_stacked_ptrace_equals_one_state_ptrace(dims, keep):
 
 
 def test_eig_pauli_z():
-    es = eig_hermitian(PAULI_Z)
-    assert np.allclose(es.values, [-1.0, 1.0])
-
-
-def test_eig_werner_spectrum():
-    es = eig_hermitian(werner(2, 0.5).mat)
-    assert np.abs(es.values - [0.125, 0.125, 0.125, 0.625]).max() < 1e-12
+    obs = Observable(PAULI_Z)
+    assert np.allclose(obs.values, [-1.0, 1.0])
 
 
 def test_eig_reference_matrix_trace():
@@ -119,36 +114,30 @@ def test_eig_reference_matrix_trace():
     x = np.array(
         [[0.272007, 0.0483473 + 0.584816j], [0.0483473 - 0.584816j, 0.246297]]
     )
-    es = eig_hermitian(x)
-    assert abs(es.values.sum() - 0.518304) < 1e-12
-    assert np.abs(es.values - [-0.32779984325316674, 0.8461038432531667]).max() < 1e-12
+    obs = Observable(x)
+    assert abs(obs.values.sum() - 0.518304) < 1e-12
+    assert np.abs(obs.values - [-0.32779984325316674, 0.8461038432531667]).max() < 1e-12
 
 
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_eig_rejects_large_side():
     with pytest.raises(ValueError, match="side"):
-        eig_hermitian(np.eye(17))
+        Observable(np.eye(17))
 
 
 def test_eig_reconstruction_property():
     for n in range(2, 10):
         m = rand_hermitian(n)
-        es = eig_hermitian(m)
-        rebuilt = (es.vectors * es.values) @ es.vectors.conj().T
+        obs = Observable(m)
+        rebuilt = (obs.basis * obs.values) @ obs.basis.conj().T
         assert np.abs(rebuilt - m).max() <= 1e-10
-        gram = es.vectors.conj().T @ es.vectors
+        gram = obs.basis.conj().T @ obs.basis
         assert np.abs(gram - np.eye(n)).max() < 1e-12
-        assert np.all(np.diff(es.values) >= 0)
-
-
-def test_eig_degenerate_cluster_orthonormal():
-    m = np.diag([1.0, 1.0, 2.0]).astype(complex)
-    es = eig_hermitian(m)
-    assert np.abs(es.vectors.conj().T @ es.vectors - np.eye(3)).max() < 1e-12
+        assert np.all(np.diff(obs.values) >= 0)
 
 
 def test_validate_accepts_maximally_mixed():

@@ -106,8 +106,6 @@ def test_qubit_qudit_singlet_limit():
 
 
 def test_qubit_qudit_rejects_bad_weights():
-    with pytest.raises(ValueError, match="sum"):
-        qubit_qudit(0.25, 0.1, kind="qutrit", beta=0.2)
     with pytest.raises(ValueError, match="negative"):
         qubit_qudit(0.5, 0.3, kind="qutrit")
 
