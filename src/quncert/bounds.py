@@ -59,6 +59,8 @@ class Observable:
         m = np.asarray(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        if not m.size:
+            raise ValueError(f"expected a nonempty matrix, got shape {m.shape}")
         if m.shape[0] > MAX_SIDE:
             raise ValueError(f"side {m.shape[0]} exceeds supported maximum {MAX_SIDE}")
         dev = np.abs(m - adjoint(m)).max()
@@ -114,19 +116,19 @@ class BoundReport:
     U_A: float
     concurrence: float | None
 
-    def violations(self, tol: float = BOUND_TOL, tol_opt: float = BOUND_TOL_OPT) -> list[str]:
+    def violations(self) -> list[str]:
         """Names of any bound inequalities the report fails to satisfy.
 
-        The optimizer can only underestimate the classical correlation, which
-        overestimates the discord and can over-tighten U_b2 and U_b3; those
-        two get the looser tolerance.
+        U_b1 is checked within BOUND_TOL. The optimizer can only underestimate
+        the classical correlation, which overestimates the discord and can
+        over-tighten U_b2 and U_b3; those two get the looser BOUND_TOL_OPT.
         """
         out = []
-        if self.U < self.U_b1 - tol:
+        if self.U < self.U_b1 - BOUND_TOL:
             out.append(f"U_b1 exceeds U by {self.U_b1 - self.U:.3e}")
-        if self.U < self.U_b2 - tol_opt:
+        if self.U < self.U_b2 - BOUND_TOL_OPT:
             out.append(f"U_b2 exceeds U by {self.U_b2 - self.U:.3e}")
-        if self.U < self.U_b3 - tol_opt:
+        if self.U < self.U_b3 - BOUND_TOL_OPT:
             out.append(f"U_b3 exceeds U by {self.U_b3 - self.U:.3e}")
         return out
 

@@ -51,6 +51,10 @@ _SPIN_FLIP = kron(PAULI_Y, PAULI_Y)
 LINE_STEPS = np.array([1.0, 0.25, 0.0625, 0.015625])
 MAX_MOVE = 0.25
 MIN_GAIN = 1e-15
+# Each state polishes its best KEEP starts for at most NEWTON_ITERS[dA] iterations;
+# lanes that converge stop on their own, so the qubit cap binds only on flat ridges.
+KEEP = 3
+NEWTON_ITERS = {2: 66, 3: 25}
 # The derivatives floor each branch's eigenvalues at this share of its largest,
 # so that a rank-deficient branch gives a large but finite curvature.
 EIG_FLOOR = 1e-10
@@ -72,19 +76,21 @@ class OptimizerConfig:
     """Knobs for the classical-correlation search; defaults favor accuracy."""
 
     grid_points: int = 16
-    refine_iters: int = 200
     restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
         # the ceilings bound memory: one (2, 4) J on a 1024-point grid peaks near 0.5 GB
-        limits = {"grid_points": (2, 1024), "refine_iters": (1, math.inf), "restarts": (1, 4096),
-                  "seed": (0, math.inf)}
+        limits = {"grid_points": (2, 1024), "restarts": (1, 4096), "seed": (0, math.inf)}
+        for k in limits:
+            v = getattr(self, k)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{k} must be an integer, got {v!r}")
         bad = [f"{k}={getattr(self, k)}" for k, (lo, hi) in limits.items()
                if not lo <= getattr(self, k) <= hi]
         if bad:
-            raise ValueError(f"need 2 <= grid_points <= 1024, refine_iters >= 1,"
-                             f" 1 <= restarts <= 4096, seed >= 0; got {', '.join(bad)}")
+            raise ValueError(f"need 2 <= grid_points <= 1024, 1 <= restarts <= 4096,"
+                             f" seed >= 0; got {', '.join(bad)}")
 
 
 def _holevo(s_b, mu: np.ndarray):
@@ -290,19 +296,6 @@ def _starts(dA: int, cfg: OptimizerConfig) -> np.ndarray:
     return starts
 
 
-def _search_plan(dA: int, cfg: OptimizerConfig) -> dict:
-    """The keyword arguments of _search for an A side of dimension dA.
-
-    Both sides polish their best 3 starts, or all if there are fewer.
-    refine_iters sets the effort: a qubit state is polished for at most
-    refine_iters // 3 Newton iterations (66 by default), a qutrit state for at
-    most refine_iters // 8 (25). Lanes that converge stop on their own, so the
-    qubit cap binds only on flat ridges.
-    """
-    return dict(starts=_starts(dA, cfg), keep=3,
-                iters=max(3, cfg.refine_iters // (3 if dA == 2 else 8)))
-
-
 def classical_correlations(mats: np.ndarray, dims, cfg: OptimizerConfig | None = None) -> np.ndarray:
     """classical_correlation of each state of a stack (N, side, side) of dims, in lock-step.
 
@@ -311,7 +304,8 @@ def classical_correlations(mats: np.ndarray, dims, cfg: OptimizerConfig | None =
     """
     if not len(mats):
         return np.empty(0)
-    return _search(mats, dims, **_search_plan(dims[0], cfg or OptimizerConfig()))[0]
+    dA = dims[0]
+    return _search(mats, dims, _starts(dA, cfg or OptimizerConfig()), KEEP, NEWTON_ITERS[dA])[0]
 
 
 def classical_correlation(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:

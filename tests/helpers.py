@@ -6,7 +6,7 @@ from quncert.correlations import OptimizerConfig
 from quncert.entropy import ProjectiveMeasurement
 from quncert.linalg import validate_density
 
-FAST = OptimizerConfig(grid_points=48, refine_iters=120)
+FAST = OptimizerConfig(grid_points=48)
 
 
 def rand_unitary(n, rng):

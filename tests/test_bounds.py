@@ -41,13 +41,14 @@ def test_observable_rejects_degenerate():
 @pytest.mark.parametrize("mat, message", [
     (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
     (np.zeros((2, 2, 2)), "expected a square matrix, got shape (2, 2, 2)"),
+    (np.zeros((0, 0)), "expected a nonempty matrix, got shape (0, 0)"),
     (np.diag(np.arange(17.0)), "side 17 exceeds supported maximum 16"),
     (np.triu(np.ones((17, 17))), "side 17 exceeds supported maximum 16"),
     ([[0, 1], [0, 0]], "matrix is not Hermitian within 1e-09 (deviation 1.000e+00)"),
     (np.eye(2), "degenerate observable: eigenvalue gap 0.000e+00 <= 1e-09"),
-], ids=["2x3", "2x2x2", "side-17", "side-17-not-hermitian", "not-hermitian", "degenerate"])
+], ids=["2x3", "2x2x2", "0x0", "side-17", "side-17-not-hermitian", "not-hermitian", "degenerate"])
 def test_observable_checks_run_in_order(mat, message):
-    # shape, side, Hermiticity, gap: the 17x17 triangle is not Hermitian either but reports its side
+    # shape, size, side, Hermiticity, gap: the 17x17 triangle is not Hermitian but reports its side
     with pytest.raises(ValueError) as info:
         Observable(mat)
     assert str(info.value) == message

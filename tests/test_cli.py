@@ -481,12 +481,12 @@ def test_cached_parser_is_reentrant(capsys):
 def test_every_scenario_runs_and_respects_bounds(name):
     _, _, _, _ = scenario_defaults(name)
     start, stop, _ = scenario_defaults(name)[0]
-    cfg = OptimizerConfig(grid_points=32, refine_iters=90, restarts=4)
+    cfg = OptimizerConfig(grid_points=32, restarts=4)
     rows = run_scenario(ScenarioSpec(name=name, sweep=(start, stop, 3)), cfg)
     assert len(rows) == 3
     two_qubit = name not in ("werner-qutrit", "isotropic-d3", "qubit-qutrit", "qubit-ququart")
     for row in rows:
-        assert row.report.violations(tol_opt=1e-3) == []
+        assert row.report.violations() == []
         assert (row.report.concurrence is not None) == two_qubit
 
 

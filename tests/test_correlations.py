@@ -3,11 +3,12 @@ import pytest
 
 from quncert import correlations
 from quncert.correlations import (
+    KEEP,
+    NEWTON_ITERS,
     OptimizerConfig,
     _FRAMES,
     _Frame,
     _search,
-    _search_plan,
     _starts,
     bell_diagonal_classical_closed,
     classical_correlation,
@@ -296,7 +297,7 @@ def test_newton_lanes_match_one_lane_searches(monkeypatch):
                                               (3, OptimizerConfig(restarts=2), 2)])
 def test_few_starts_stack_like_one_state(d_a, d_b, cfg, starts):
     # with fewer starts than the 3 lanes a state keeps, each state polishes them all
-    assert len(_search_plan(d_a, cfg)["starts"]) == starts
+    assert len(_starts(d_a, cfg)) == starts
     states = stack_corpus((d_a, d_b), np.random.default_rng((20241024, d_a, d_b)))
     mats = np.stack([rho.mat for rho in states])
     assert classical_correlations(mats, (d_a, d_b), cfg).tolist() == [classical_correlation(rho, cfg)
@@ -308,22 +309,23 @@ def test_few_starts_stack_like_one_state(d_a, d_b, cfg, starts):
 def test_qubit_search_reaches_high_effort_optimum(d_b, i):
     # (4, 14) and (2, 41) lie on curved ridges that a coordinate search climbs slowly
     rho = random_density(np.random.default_rng((12345, 2, d_b, i)), (2, d_b))
-    high = classical_correlation(rho, OptimizerConfig(grid_points=256, refine_iters=2000))
+    starts = _starts(2, OptimizerConfig(grid_points=256))
+    high = _search(rho.mat[None], rho.dims, starts, 3, 666)[0][0]
     assert classical_correlation(rho) >= high - 1e-9
 
 
 @pytest.mark.parametrize("d_b", [2, 3, 4])
 def test_qutrit_lock_step_equals_each_start_refined_alone(d_b):
-    # every start is scored once; the keep best-scored starts are polished
+    # every start is scored once; the KEEP best-scored starts are polished
     cfg = OptimizerConfig()
-    plan = _search_plan(3, cfg)
-    starts, keep = plan.pop("starts"), plan.pop("keep")
+    starts = _starts(3, cfg)
     for i in range(2):
         rho = random_density(np.random.default_rng((20241018, d_b, i)), (3, d_b))
         scored = [_search(rho.mat[None], rho.dims, starts[k:k + 1], 1, iters=0)[0][0]
                   for k in range(len(starts))]
-        kept = np.argsort(-np.array(scored), kind="stable")[:keep]
-        alone = [_search(rho.mat[None], rho.dims, starts[k:k + 1], 1, **plan)[0][0] for k in kept]
+        kept = np.argsort(-np.array(scored), kind="stable")[:KEEP]
+        alone = [_search(rho.mat[None], rho.dims, starts[k:k + 1], 1, NEWTON_ITERS[3])[0][0]
+                 for k in kept]
         assert classical_correlation(rho, cfg) == max(alone)
 
 
@@ -407,7 +409,8 @@ def test_stacked_search_equals_one_state_search(dims):
 def test_search_basis_certifies_its_value(dims):
     states = stack_corpus(dims, np.random.default_rng((20241021,) + dims))
     mats = np.stack([rho.mat for rho in states])
-    values, bases = _search(mats, dims, **_search_plan(dims[0], OptimizerConfig()))
+    starts = _starts(dims[0], OptimizerConfig())
+    values, bases = _search(mats, dims, starts, KEEP, NEWTON_ITERS[dims[0]])
     assert values.tolist() == classical_correlations(mats, dims).tolist()
     for rho, j, u in zip(states, values, bases):
         assert abs(holevo_quantity(rho, ProjectiveMeasurement.from_basis(u)) - j) <= 1e-12
@@ -416,12 +419,36 @@ def test_search_basis_certifies_its_value(dims):
 def test_optimizer_grid_convergence():
     # the default 16-point grid lists 113 distinct measurements, and a grid four
     # times as fine moves the polished estimate by less than 1e-9
-    assert len(_search_plan(2, OptimizerConfig())["starts"]) == 113
+    assert len(_starts(2, OptimizerConfig())) == 113
     for _ in range(50):
         rho = random_density(np_rng, (2, 2))
         j16 = classical_correlation(rho)
         j64 = classical_correlation(rho, OptimizerConfig(grid_points=64))
         assert abs(j64 - j16) <= 1e-9
+
+
+def test_default_effort_per_side(monkeypatch):
+    # the starts, kept lanes and Newton cap classical_correlations passes at the default config
+    seen = []
+
+    def recorded(mats, dims, starts, keep, iters):
+        seen.append((dims, len(starts), keep, iters))
+        return _search(mats, dims, starts, keep, iters)
+
+    monkeypatch.setattr(correlations, "_search", recorded)
+    for dims in [(2, 2), (3, 2)]:
+        rng = np.random.default_rng((20241025,) + dims)
+        classical_correlations(np.stack([random_density(rng, dims).mat for _ in range(2)]), dims)
+    assert seen == [((2, 2), 113, 3, 66), ((3, 2), 8, 3, 25)]
+
+
+@pytest.mark.parametrize("field, value", [("grid_points", 16.5), ("restarts", 3.5), ("seed", 1.5),
+                                          ("seed", True)])
+def test_optimizer_config_rejects_non_integers(field, value):
+    # each passes the range check, and all but the bool would fail later inside numpy
+    with pytest.raises(ValueError) as info:
+        OptimizerConfig(**{field: value})
+    assert str(info.value) == f"{field} must be an integer, got {value!r}"
 
 
 def test_qubit_starts_are_the_bloch_grid_measurements():
