@@ -62,9 +62,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.ndim == 1:
         return (a[:, None] * b[None, :]).reshape(-1)
-    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(shape + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

@@ -8,6 +8,8 @@ from quncert.correlations import (
     OptimizerConfig,
     _FRAMES,
     _Frame,
+    _holevo,
+    _hs_scores,
     _search,
     _starts,
     bell_diagonal_classical_closed,
@@ -31,7 +33,7 @@ from quncert.scenarios import ScenarioSpec, random_density, run_scenario
 from quncert.states import bell_diagonal, bell_like, singlet, werner
 
 from helpers import FAST, pauli_measurement, rand_unitary, random_x_state
-from oracles import concurrence_x, partial_trace
+from oracles import concurrence_x, measure_on_A, partial_trace
 
 np_rng = np.random.default_rng(20240803)
 
@@ -315,6 +317,53 @@ def test_qubit_search_reaches_high_effort_optimum(d_b, i):
 
 
 @pytest.mark.parametrize("d_b", [2, 3, 4])
+def test_qubit_search_reaches_every_start_polished(d_b):
+    # the reference polishes all 113 starts, so it does not depend on how the starts are ranked
+    rng = np.random.default_rng((20241027, d_b))
+    mats = np.stack([random_density(rng, (2, d_b)).mat for _ in range(20)])
+    starts = _starts(2, OptimizerConfig())
+    every = _search(mats, (2, d_b), starts, len(starts), NEWTON_ITERS[2])[0]
+    assert (classical_correlations(mats, (2, d_b)) >= every - 1e-12).all()
+
+
+@pytest.mark.parametrize("d_b", [3, 4])
+def test_hs_scores_match_measured_branches(d_b):
+    # sum_k Tr s_k^2 / p_k = sum_k p_k Tr rho_B|k^2, each branch built and checked on its own;
+    # the last two states are pure on A, along a column of a tested start, so that start has
+    # an empty branch: exactly empty at the pole, and empty up to roundoff at start 88
+    rng = np.random.default_rng((20241028, d_b))
+    states = stack_corpus((2, d_b), rng)
+    starts = _starts(2, OptimizerConfig())
+    for u in starts[[0, 88]]:
+        pure = np.outer(u[:, 0], u[:, 0].conj())
+        states.append(validate_density(kron(pure, random_density(rng, (d_b, 1)).mat), (2, d_b)))
+    starts = starts[::8]
+    mats = np.stack([rho.mat for rho in states])
+    scores = _hs_scores(branch_matrix(mats, (2, d_b)), basis_projectors(starts))
+    assert scores.shape == (len(states), len(starts))
+    for rho, row in zip(states, scores):
+        for u, score in zip(starts, row):
+            out = measure_on_A(rho, ProjectiveMeasurement.from_basis(u))
+            want = sum(p * np.trace(c.mat @ c.mat).real for p, c in zip(out.probs, out.conditional_states))
+            assert abs(score - want) <= 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 3 * 226])
+def test_hs_scores_in_several_products_equal_one_product(rows, monkeypatch):
+    # SCORE_ROWS = 1 takes one state per product, 3 * 226 three states of the default grid's
+    # 226 branch rows; the scores and J are bit for bit those of one product
+    starts = _starts(2, OptimizerConfig())
+    for d_b in (3, 4):
+        mats = np.stack([rho.mat for rho in stack_corpus((2, d_b), np.random.default_rng((20241029, d_b)))])
+        m, projectors = branch_matrix(mats, (2, d_b)), basis_projectors(starts)
+        one_scores, one_j = _hs_scores(m, projectors), classical_correlations(mats, (2, d_b))
+        with monkeypatch.context() as patch:
+            patch.setattr(correlations, "SCORE_ROWS", rows)
+            assert np.array_equal(_hs_scores(m, projectors), one_scores)
+            assert classical_correlations(mats, (2, d_b)).tolist() == one_j.tolist()
+
+
+@pytest.mark.parametrize("d_b", [2, 3, 4])
 def test_qutrit_lock_step_equals_each_start_refined_alone(d_b):
     # every start is scored once; the KEEP best-scored starts are polished
     cfg = OptimizerConfig()
@@ -358,24 +407,32 @@ def test_product_state_search_stops_after_one_stencil(dims, monkeypatch):
 
 
 def test_line_search_that_does_not_improve_leaves_each_lane_where_it_was(monkeypatch):
-    # one line point 16 times the Newton step overshoots on every lane, so no lane may move:
-    # each keeps its best start and that start's score, even where another lane scores lower
+    # one line point 16 times the Newton step: a lane moves to it only if it beats the lane's
+    # own value, even where it beats another lane's, and a lane that does not move stops for good
     starts = _starts(2, OptimizerConfig())
     mats = np.array([random_density(np.random.default_rng((3, i)), (2, 3)).mat for i in range(8)])
     scored, kept = _search(mats, (2, 3), starts, 1, iters=0)
-    line_searches = []
+    values = []
 
-    def counted(*args):
-        if args[-2].ndim == 3:  # scoring passes one state's 2-D branch matrix
-            line_searches.append(len(args[-2]))
-        return branch_spectra(*args)
+    def recorded(*args):
+        out = _holevo(*args)
+        values.append(out.copy())  # the search updates its lane values in place
+        return out
 
-    monkeypatch.setattr(correlations, "branch_spectra", counted)
+    monkeypatch.setattr(correlations, "_holevo", recorded)
     monkeypatch.setattr(correlations, "LINE_STEPS", np.array([16.0]))
-    values, bases = _search(mats, (2, 3), starts, 1, iters=5)
-    assert values.tolist() == scored.tolist()
-    assert np.array_equal(bases, kept)
-    assert line_searches == [8]
+    got, bases = _search(mats, (2, 3), starts, 1, iters=5)
+    # the kept starts' kernel call, then the first line search, on every lane
+    assert values[0].tolist() == scored.tolist()
+    line = values[1][:, 0]
+    assert len(line) == len(mats)
+    stay = line <= scored
+    assert got[stay].tolist() == scored[stay].tolist()
+    assert np.array_equal(bases[stay], kept[stay])
+    assert (got[~stay] >= line[~stay]).all()
+    assert all(len(v) <= (~stay).sum() for v in values[2:])
+    # the rule is tested: a lane that stays had a line point above another lane's value
+    assert (line[stay] > scored.min()).any()
 
 
 def stack_corpus(dims, rng):
