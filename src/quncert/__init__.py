@@ -22,13 +22,11 @@ from .correlations import (
     bell_diagonal_classical_closed,
     classical_correlation,
     concurrence,
-    discord,
     holevo_quantity,
 )
 from .entropy import (
     ProjectiveMeasurement,
     conditional_entropy,
-    measured_conditional_entropy,
     mutual_information,
     von_neumann,
 )
@@ -43,7 +41,6 @@ from .states import (
     bell_mixture,
     isotropic,
     qubit_qudit,
-    singlet,
     werner,
 )
 
@@ -65,7 +62,6 @@ __all__ = [
     "complementarity",
     "concurrence",
     "conditional_entropy",
-    "discord",
     "evaluate_bounds",
     "holevo_quantity",
     "isotropic",
@@ -74,11 +70,9 @@ __all__ = [
     "kron",
     "local_channel",
     "dephased_bell_diagonal",
-    "measured_conditional_entropy",
     "mutual_information",
     "qubit_qudit",
     "random_field_state",
-    "singlet",
     "uncertainty_sum",
     "validate_density",
     "von_neumann",

@@ -31,8 +31,7 @@ import numpy as np
 
 from .correlations import OptimizerConfig, clamp_discord, concurrences
 from .correlations import classical_correlation, classical_correlations
-from .entropy import ProjectiveMeasurement, basis_projectors, branch_entropies, branch_matrix
-from .entropy import branch_spectra, entropies, measured_conditional_entropy
+from .entropy import basis_projectors, branch_entropies, branch_matrix, branch_spectra, entropies
 from .linalg import DEFAULT_TOL, DensityMatrix, adjoint, shared_dims
 
 MAX_SIDE = 16
@@ -90,13 +89,6 @@ def complementarity(x: Observable, z: Observable) -> float:
     return float(_complementarities(np.array([[x.basis, z.basis]]))[0])
 
 
-def uncertainty_sum(rho: DensityMatrix, x: Observable, z: Observable) -> float:
-    """U = S(X|B) + S(Z|B) for measurements on subsystem A."""
-    mx = ProjectiveMeasurement.from_basis(x.basis)
-    mz = ProjectiveMeasurement.from_basis(z.basis)
-    return measured_conditional_entropy(rho, mx) + measured_conditional_entropy(rho, mz)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """One full evaluation: the uncertainty, all bounds, and every ingredient."""
@@ -149,6 +141,20 @@ def _check_observables(dA: int, x: Observable, z: Observable):
         )
 
 
+def _uncertainties(mats: np.ndarray, dims, bases: np.ndarray, s_b: np.ndarray):
+    """U and U_A = H(X) + H(Z) of each state, its X and Z eigenbases (N, 2, dA, dA) and S(B)."""
+    mu = branch_spectra(branch_matrix(mats, dims), basis_projectors(bases))  # (N, 2, K, dB)
+    s_post, h = branch_entropies(mu)
+    return (s_post[:, 0] - s_b) + (s_post[:, 1] - s_b), h.sum(axis=-1)
+
+
+def uncertainty_sum(rho: DensityMatrix, x: Observable, z: Observable) -> float:
+    """U = S(X|B) + S(Z|B) for measurements on subsystem A."""
+    _check_observables(rho.dA, x, z)
+    s_b = entropies(rho.mat[None], rho.dims, "B")
+    return float(_uncertainties(rho.mat[None], rho.dims, np.array([[x.basis, z.basis]]), s_b)[0][0])
+
+
 def _reports(mats: np.ndarray, dims, xs, zs, classical) -> list[BoundReport]:
     """The reports of a stack (N, side, side) of dims, given their classical correlations.
 
@@ -157,10 +163,7 @@ def _reports(mats: np.ndarray, dims, xs, zs, classical) -> list[BoundReport]:
     """
     s_ab, s_a, s_b = (entropies(mats, dims, part) for part in ("AB", "A", "B"))
     bases = np.array([[x.basis, z.basis] for x, z in zip(xs, zs)])
-    mu = branch_spectra(branch_matrix(mats, dims), basis_projectors(bases))  # (N, 2, K, dB)
-    s_post, h = branch_entropies(mu)
-    u = (s_post[:, 0] - s_b) + (s_post[:, 1] - s_b)
-    u_a = h.sum(axis=-1)
+    u, u_a = _uncertainties(mats, dims, bases, s_b)
     s_cond, mutual = s_ab - s_b, s_a + s_b - s_ab
     cs = _complementarities(bases).tolist()
     con = concurrences(mats).tolist() if dims == (2, 2) else [None] * len(mats)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import ProjectiveMeasurement, basis_projectors, branch_entropies, branch_matrix
-from .entropy import branch_spectra, entropies, mutual_information, xlog2x
+from .entropy import branch_spectra, entropies, xlog2x
 from .linalg import PAULI_Y, DensityMatrix, adjoint, kron
 
 DISCORD_NOISE = 1e-6
@@ -371,11 +371,6 @@ def bell_diagonal_classical_closed(c1: float, c2: float, c3: float) -> float:
             raise ValueError(f"Bell-diagonal coefficient {v} outside [-1, 1]")
     c = max(abs(c1), abs(c2), abs(c3))
     return float(xlog2x(np.array([(1 - c) / 2, (1 + c) / 2])).sum()) + 1.0
-
-
-def discord(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:
-    """A-side quantum discord: mutual information minus classical correlation."""
-    return clamp_discord(mutual_information(rho) - classical_correlation(rho, cfg))
 
 
 def clamp_discord(value: float) -> float:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .linalg import DensityMatrix, ptrace_mat
 
-PROB_TOL = 1e-9
 PROJECTOR_TOL = 1e-9
 
 
@@ -151,15 +150,3 @@ def branch_entropies(mu: np.ndarray):
     """
     return -xlog2x(mu).sum(axis=(-2, -1)), -xlog2x(mu.sum(axis=-1)).sum(axis=-1)
 
-
-def measured_conditional_entropy(rho: DensityMatrix, meas: ProjectiveMeasurement) -> float:
-    """Conditional entropy S(post-measurement state) - S(B) of a rank-1 measurement on A.
-
-    Equals sum_i p_i S(rho_B|i) + H(P) - S(rho_B); the test suite compares the
-    two routes, the second through measure_on_A of tests/oracles.py.
-    """
-    ranks = np.trace(meas.projectors, axis1=-2, axis2=-1).real
-    if np.abs(ranks - 1.0).max() > PROB_TOL:
-        raise ValueError(f"measured conditional entropy needs rank-1 projectors, got {ranks}")
-    s_post, _ = branch_entropies(branch_spectra(branch_matrix(rho.mat, rho.dims), meas.projectors))
-    return float(s_post - entropies(rho.mat, rho.dims, "B"))

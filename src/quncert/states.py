@@ -39,11 +39,6 @@ def _bell_vectors(dB: int = 2):
     return phi_p, phi_m, psi_p, psi_m
 
 
-def singlet() -> DensityMatrix:
-    """The antisymmetric Bell state |psi->."""
-    return validate_density(_proj(_bell_vectors()[3]), (2, 2), tol=CONSTRUCT_TOL)
-
-
 def werner(d: int, f: float) -> DensityMatrix:
     """Werner family: white noise mixed with the antisymmetric component.
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from quncert.correlations import OptimizerConfig
-from quncert.entropy import ProjectiveMeasurement
+from quncert.entropy import ProjectiveMeasurement, branch_entropies, branch_matrix, branch_spectra, entropies
 from quncert.linalg import validate_density
 
 FAST = OptimizerConfig(grid_points=48)
@@ -18,6 +18,12 @@ def rand_unitary(n, rng):
 def pauli_measurement(sigma):
     _, v = np.linalg.eigh(sigma)
     return ProjectiveMeasurement.from_basis(v)
+
+
+def measured_conditional_entropy(rho, meas: ProjectiveMeasurement) -> float:
+    """S(post-measurement state) - S(B) of a rank-1 measurement on A, from the stacked kernels."""
+    s_post, _ = branch_entropies(branch_spectra(branch_matrix(rho.mat, rho.dims), meas.projectors))
+    return float(s_post - entropies(rho.mat, rho.dims, "B"))
 
 
 def random_bell_triple(rng):

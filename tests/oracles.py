@@ -18,10 +18,11 @@ import numpy as np
 from quncert.bounds import Observable
 from quncert.channels import CHANNEL_TOL
 from quncert.correlations import _check_two_qubit
-from quncert.entropy import PROB_TOL, ProjectiveMeasurement, spectrum_entropies, von_neumann
+from quncert.entropy import ProjectiveMeasurement, spectrum_entropies, von_neumann
 from quncert.linalg import DensityMatrix, kron, ptrace_mat, validate_density
 
 NEGLIGIBLE_OUTCOME = 1e-14
+PROB_TOL = 1e-9
 X_FORM_TOL = 1e-10
 
 

@@ -10,7 +10,7 @@ from quncert.bounds import Observable, evaluate_bounds
 from quncert.channels import apply_kraus, local_channel
 from quncert.cli import main
 from quncert.correlations import concurrence
-from quncert.entropy import measured_conditional_entropy, von_neumann
+from quncert.entropy import von_neumann
 from quncert.linalg import PAULI_X, PAULI_Z, ptrace_mat
 from quncert.scenarios import (
     ScenarioSpec,
@@ -21,7 +21,7 @@ from quncert.scenarios import (
 )
 from quncert.states import bell_diagonal, isotropic, qubit_qudit, werner
 
-from helpers import random_bell_triple, random_x_state, xlog2
+from helpers import measured_conditional_entropy, random_bell_triple, random_x_state, xlog2
 from oracles import (
     ad_closed_form,
     concurrence_x,

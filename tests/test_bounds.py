@@ -21,7 +21,7 @@ from quncert.linalg import PAULI_X, PAULI_Y, PAULI_Z, kron, ptrace_mat
 from quncert.linalg import validate_density
 from quncert.observables import bundled_observable, pauli_observable, su3_pair
 from quncert.scenarios import random_density, random_observable
-from quncert.states import bell_diagonal, singlet, werner
+from quncert.states import bell_diagonal, werner
 
 from helpers import FAST, rand_unitary
 from oracles import observable_measurement, partial_trace, single_system_bound
@@ -174,7 +174,7 @@ def test_single_system_bound_rejects_povm_not_on_the_state(povm, message):
 
 
 def test_uncertainty_singlet():
-    assert abs(uncertainty_sum(singlet(), SX, SZ)) < 1e-10
+    assert abs(uncertainty_sum(werner(2, 1.0), SX, SZ)) < 1e-10
 
 
 def test_uncertainty_maximally_mixed():
@@ -189,7 +189,7 @@ def test_uncertainty_werner_closed_form():
 
 
 def test_evaluate_bounds_singlet():
-    rep = evaluate_bounds(singlet(), SX, SZ, FAST)
+    rep = evaluate_bounds(werner(2, 1.0), SX, SZ, FAST)
     assert abs(rep.U) < 1e-8
     assert abs(rep.U_b1) < 1e-8
     assert abs(rep.U_b2) < 1e-8
@@ -336,6 +336,8 @@ def test_evaluate_bounds_many_checks_every_states_observables():
     xs, zs = [SX, SX, bundled_observable("x2")], [SZ] * 3
     with pytest.raises(ObservableDimensionError, match="dimensions 3 and 2"):
         evaluate_bounds_many(rhos, xs, zs)
+    with pytest.raises(ObservableDimensionError, match="dimensions 3 and 2"):
+        uncertainty_sum(rhos[2], xs[2], zs[2])
 
 
 @pytest.mark.parametrize("counts", [(3, 2, 3), (3, 3, 2), (2, 3, 3)])

@@ -10,7 +10,7 @@ from quncert.channels import (
     dephased_bell_diagonal,
     random_field_state,
 )
-from quncert.correlations import concurrence, discord
+from quncert.correlations import classical_correlation, clamp_discord, concurrence
 from quncert.entropy import mutual_information
 from quncert.linalg import PAULIS, kron, validate_density
 from quncert.states import bell_diagonal, bell_like, bell_mixture
@@ -103,7 +103,7 @@ def test_pd_closed_form_endpoints():
     final = pd_closed_form(c1, c2, c3, 1.0)
     off = np.abs(final.mat - np.diag(np.diag(final.mat))).max()
     assert off < 1e-14
-    assert discord(final, FAST) < 1e-9
+    assert clamp_discord(mutual_information(final) - classical_correlation(final, FAST)) < 1e-9
 
 
 def test_jc_survival_starts_at_one():
@@ -216,7 +216,7 @@ def test_dephasing_initial_and_asymptotic():
     assert np.abs(dephased_bell_diagonal(c1, c2, c3, 1.0, 0.0).mat - bell_diagonal(c1, c2, c3).mat).max() < 1e-12
     late = dephased_bell_diagonal(c1, c2, c3, 1.0, 40.0)
     assert np.abs(late.mat - bell_diagonal(0.0, 0.0, c3).mat).max() < 1e-12
-    assert discord(late, FAST) < 1e-9
+    assert clamp_discord(mutual_information(late) - classical_correlation(late, FAST)) < 1e-9
 
 
 def test_dephasing_plateau_switch_time():

@@ -10,7 +10,7 @@ from quncert.linalg import (
     validate_density,
 )
 from quncert.bounds import Observable
-from quncert.states import bell_diagonal, singlet
+from quncert.states import bell_diagonal, werner
 
 from oracles import ad_closed_form, partial_trace
 
@@ -59,7 +59,7 @@ def test_kron_broadcasts_leading_axes_bit_for_bit():
 
 
 def test_partial_trace_singlet():
-    red = partial_trace(singlet(), "B")
+    red = partial_trace(werner(2, 1.0), "B")
     assert np.abs(red.mat - np.eye(2) / 2).max() < 1e-12
     assert red.dims == (2, 1)
 

@@ -92,3 +92,15 @@ def test_all_names_resolve():
     missing = [name for name in quncert.__all__ if not hasattr(quncert, name)]
     assert not missing
     exec("from quncert import *", {})
+
+
+def test_every_export_has_a_user():
+    # an exported name must be read somewhere in the package, or be one the benchmark binds;
+    # only loaded names count, so that the BoundReport.discord field cannot hide a discord function
+    package = [path for path in (ROOT / "src" / "quncert").glob("*.py") if path.name != "__init__.py"]
+    read = {node.id for path in package for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = {name for _, names, _ in _wrapped() for name in names}
+    bound |= {name for path in PERFBENCH.glob("*.py") for _, name in _quncert_imports(path)}
+    unused = sorted(set(quncert.__all__) - read - bound)
+    assert not unused, unused

@@ -10,7 +10,6 @@ from quncert.states import (
     bell_mixture,
     isotropic,
     qubit_qudit,
-    singlet,
     werner,
 )
 
@@ -26,7 +25,8 @@ def test_werner_f0_is_maximally_mixed():
 
 
 def test_werner_f1_is_singlet():
-    assert np.abs(werner(2, 1.0).mat - singlet().mat).max() < 1e-14
+    psi_m = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+    assert np.abs(werner(2, 1.0).mat - np.outer(psi_m, psi_m)).max() < 1e-14
 
 
 def test_werner_qutrit_antisymmetric_limit():
@@ -62,7 +62,7 @@ def test_isotropic_spectrum_entropy():
 
 def test_bell_diagonal_trivial_points():
     assert np.abs(bell_diagonal(0, 0, 0).mat - np.eye(4) / 4).max() < 1e-14
-    assert np.abs(bell_diagonal(-1, -1, -1).mat - singlet().mat).max() < 1e-14
+    assert np.abs(bell_diagonal(-1, -1, -1).mat - werner(2, 1.0).mat).max() < 1e-14
 
 
 def test_bell_diagonal_spectrum():
