@@ -5,23 +5,23 @@ The classical correlation is the maximum Holevo quantity over rank-1
 projective measurements on subsystem A, each given by a basis U of A measured
 along its columns. One search serves qubit and qutrit A, and one stack of
 states of one dims at a time: each state ranks every start, by its exact value
-from one :func:`quncert.entropy.branch_spectra` call, or for a qubit A with
-dB > 2 by the eigensolver-free Hilbert-Schmidt score sum_k Tr s_k^2 / p_k of
-its branches s_k (after geometric discord: Dakic, Vedral & Brukner, PRL 105,
-190502, 2010). The same function then climbs from the best bases of all
-states together, by one Newton loop in the moving frame U exp(i sum c_k T_k),
-where the T_k are the dA(dA-1) off-diagonal Hermitian generators, the
-directions that change the measurement (a retraction on U(d); Absil, Mahony &
-Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008; Abrudan,
-Eriksson & Koivunen, IEEE TSP 56:1134, 2008). Each Newton iteration
-is two calls for the bases still searching, of all states: the exact gradient
-and Hessian in the frame, from one gemm and one ``eigh`` per branch
-(eigenvalue perturbation and the Daleckii-Krein formula), then a backtracking
-line search of the kernel along the shifted Newton step. A basis moves only
-on strict improvement, so the value never falls below its start, and every
-value is the kernel's value at the basis returned. :func:`classical_correlations`
-searches a stack (N, side, side) of one dims, which its callers bound; a state's
-value is the same in any stack, so it equals :func:`classical_correlation`.
+or, for a qubit A with dB > 2, by the eigensolver-free Hilbert-Schmidt score
+sum_k Tr s_k^2 / p_k of its branches s_k (after geometric discord: Dakic,
+Vedral & Brukner, PRL 105, 190502, 2010), one product a chunk of states. The
+same function then climbs from the best bases of all states together, by one
+Newton loop in the moving frame U exp(i sum c_k T_k), where the T_k are the
+dA(dA-1) off-diagonal Hermitian generators, the directions that change the
+measurement (a retraction on U(d); Absil, Mahony & Sepulchre, Optimization
+Algorithms on Matrix Manifolds, 2008; Abrudan, Eriksson & Koivunen, IEEE TSP
+56:1134, 2008). Each Newton iteration is two calls for the bases still
+searching, of all states: the exact gradient and Hessian in the frame, from
+one gemm and one ``eigh`` per branch (eigenvalue perturbation and the
+Daleckii-Krein formula), then a backtracking line search of the kernel along
+the shifted Newton step. A basis moves only on strict improvement, so the
+value never falls below its start, and every value is the kernel's value at
+the basis returned. :func:`classical_correlations` searches a stack (N, side,
+side) of one dims, which its callers bound; a state's value is the same in any
+stack, so it equals :func:`classical_correlation`.
 
 For a qubit A the starts are the frame moves c = theta/2 (sin phi, -cos phi)
 of a Bloch-angle grid that lists each measurement once (n and -n are the same
@@ -58,8 +58,8 @@ MIN_GAIN = 1e-15
 # lanes that converge stop on their own, so the qubit cap binds only on flat ridges.
 KEEP = 3
 NEWTON_ITERS = {2: 66, 3: 25}
-# One product of _hs_scores covers the branch rows of as many states as fit in SCORE_ROWS
-# (2.6 MB of products), and at least one: a whole 128-state chunk at the default grid.
+# One scoring product of _search covers the branch rows of as many states as fit in
+# SCORE_ROWS, and at least one: a whole 128-state chunk at the default grid.
 SCORE_ROWS = 1 << 15
 # The derivatives floor each branch's eigenvalues at this share of its largest,
 # so that a rank-deficient branch gives a large but finite curvature.
@@ -234,40 +234,37 @@ def _hs_scores(m: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     m (N, dA*dA, dB*dB) are the states' branch matrices and projectors
     (S, K, dA, dA) the measurements. With f_k the row that branch_spectra
     multiplies for branch k, Tr s_k^2 = f_k G f_k^+ with the Gram matrix
-    G = m m^+, and p_k = f_k . t with t the B-trace of m's rows; each chunk of
-    states takes one product against the stacked [G | t], with no eigensolver.
-    Roundoff in f_k G f_k^+ is not relative to p_k, so Tr s_k^2 is clipped to
-    [0, p_k^2]: a near-empty branch adds at most p_k, and an empty one nothing.
+    G = m m^+, and p_k = f_k . t with t the B-trace of m's rows; the states take
+    one product against the stacked [G | t], with no eigensolver, and _search
+    bounds N. Roundoff in f_k G f_k^+ is not relative to p_k, so Tr s_k^2 is
+    clipped to [0, p_k^2]: a near-empty branch adds at most p_k, and an empty
+    one nothing.
     """
     d, db, k = projectors.shape[-1], math.isqrt(m.shape[-1]), projectors.shape[-3]
     # the projectors are Hermitian, so f_k = P_k.T flattened is conj(P_k) flattened
     conj = projectors.reshape(-1, d * d)
-    rows = conj.conj()
     gram = np.concatenate([m @ adjoint(m), m[..., :: db + 1].sum(axis=-1, keepdims=True)], axis=-1)
-    chunk = max(1, SCORE_ROWS // len(rows))
-    out = []
-    for lo in range(0, len(m), chunk):
-        prod = rows @ gram[lo : lo + chunk]  # (C, S*K, d*d + 1): f_k G, then p_k
-        p = prod[..., -1].real
-        fg = prod[..., :-1]
-        fg *= conj
-        q = np.clip(fg.sum(axis=-1).real, 0.0, p * p)
-        out.append(np.divide(q, p, out=np.zeros_like(p), where=p > 0.0).reshape(len(p), -1, k).sum(axis=-1))
-    return np.concatenate(out)
+    prod = conj.conj() @ gram  # (N, S*K, d*d + 1): f_k G, then p_k
+    p = prod[..., -1].real
+    fg = prod[..., :-1]
+    fg *= conj
+    q = np.clip(fg.sum(axis=-1).real, 0.0, p * p)
+    return np.divide(q, p, out=np.zeros_like(p), where=p > 0.0).reshape(len(p), -1, k).sum(axis=-1)
 
 
 def _search(mats: np.ndarray, dims, starts: np.ndarray, keep: int, iters: int):
     """Maximize the Holevo quantity over measurement bases for a stack (N, side, side) of dims.
 
     The start bases (S, dA, dA) are measured along their columns, and each
-    state ranks them. A qubit A with dB > 2 ranks them by the Hilbert-Schmidt
-    score of _hs_scores, with no eigensolver, and its kept starts then take
-    their values from one kernel call. Every other dims scores each start
-    exactly, with one kernel call per state: a qubit memory's spectra are in
-    closed form, and a qutrit A's few starts rank better by the exact value.
-    The best min(keep, S) starts of every state, by a stable sort, are the
-    lanes of one Newton search in the frame of _Frame, each lane holding its
-    state's branch matrix and S(B). Each iteration makes
+    state ranks them, one product for each chunk of at most SCORE_ROWS branch
+    rows (S*dA a state) and at least one state. A qubit A with dB > 2 ranks
+    them by the Hilbert-Schmidt score of _hs_scores, with no eigensolver, and
+    its kept starts then take their values from one kernel call. Every other
+    dims scores each start exactly, with one kernel call a chunk: a qubit
+    memory's spectra are in closed form, and a qutrit A's few starts rank
+    better by the exact value. The best min(keep, S) starts of every state, by
+    a stable sort, are the lanes of one Newton search in the frame of _Frame,
+    each lane holding its state's branch matrix and S(B). Each iteration makes
     one derivatives call and one kernel call for the lanes still searching: a
     backtracking line search at LINE_STEPS of the Newton step. A lane moves to
     its best line point only if that strictly improves on its value, so every
@@ -285,11 +282,11 @@ def _search(mats: np.ndarray, dims, starts: np.ndarray, keep: int, iters: int):
     m, s_b = branch_matrix(mats, dims), entropies(mats, dims, "B")
     start_projectors = basis_projectors(starts)
     ranked = dims[0] == 2 and dims[1] > 2
-    if ranked:
-        scores = _hs_scores(m, start_projectors)
-    else:
-        # state by state for memory: at grid 1024 one (2, 2) state's branches take ~67 MB
-        scores = np.array([_holevo(s, branch_spectra(mi, start_projectors)) for s, mi in zip(s_b, m)])
+    chunk = max(1, SCORE_ROWS // (len(starts) * starts.shape[-1]))  # S*K branch rows a state
+    chunks = [slice(lo, lo + chunk) for lo in range(0, n, chunk)]
+    scores = np.concatenate([_hs_scores(m[c], start_projectors) if ranked
+                             else _holevo(s_b[c, None], branch_spectra(m[c], start_projectors[None]))
+                             for c in chunks])
     kept = np.argsort(-scores, axis=1, kind="stable")[:, :keep]
     state = np.repeat(np.arange(n), kept.shape[1])
     m, s_b = m[state], s_b[state]  # one row per lane from here on
@@ -367,7 +364,7 @@ def bell_diagonal_classical_closed(c1: float, c2: float, c3: float) -> float:
     optimizer must reproduce it within 1e-5 on this family.
     """
     for v in (c1, c2, c3):
-        if abs(v) > 1.0 + 1e-12:
+        if not abs(v) <= 1.0 + 1e-12:  # negated, so that a NaN fails it
             raise ValueError(f"Bell-diagonal coefficient {v} outside [-1, 1]")
     c = max(abs(c1), abs(c2), abs(c3))
     return float(xlog2x(np.array([(1 - c) / 2, (1 + c) / 2])).sum()) + 1.0

@@ -128,9 +128,10 @@ def branch_spectra(m: np.ndarray, projectors) -> np.ndarray:
     branch_matrix of rho. For one state, projectors is a stack of A-side
     projectors of shape (..., K, dA, dA) and the result has shape (..., K, dB).
     For a stack of N states, the projectors' leading axis indexes the states:
-    (N, ..., K, dA, dA) gives (N, ..., K, dB). All branches are one ``matmul``,
-    one gemm per state. Spectra are clipped at zero; branch k's eigenvalues sum
-    to the outcome probability p_k and are p_k times the spectrum of rho_B|k.
+    (N, ..., K, dA, dA) gives (N, ..., K, dB); a leading axis of 1 serves every
+    state with the same projectors. All branches are one ``matmul``, one gemm
+    per state. Spectra are clipped at zero; branch k's eigenvalues sum to the
+    outcome probability p_k and are p_k times the spectrum of rho_B|k.
     """
     dA, dB = math.isqrt(m.shape[-2]), math.isqrt(m.shape[-1])
     projectors = np.asarray(projectors)
@@ -138,7 +139,8 @@ def branch_spectra(m: np.ndarray, projectors) -> np.ndarray:
         d = projectors.shape[-1]
         raise ValueError(f"measurement acts on dimension {d}, state has dA={dA}")
     flat = np.swapaxes(projectors, -1, -2).reshape(projectors.shape[: m.ndim - 2] + (-1, dA * dA))
-    branches = (flat @ m).reshape(projectors.shape[:-2] + (dB, dB))
+    prod = flat @ m
+    branches = prod.reshape(prod.shape[:-2] + projectors.shape[m.ndim - 2 : -2] + (dB, dB))
     spectra = _spectrum_2x2(branches) if dB == 2 else np.linalg.eigvalsh(branches)
     return np.maximum(spectra, 0.0)
 

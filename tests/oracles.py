@@ -4,9 +4,10 @@ None of these is called by the package. Each builds its result by a route
 separate from the stacked kernels of :mod:`quncert.entropy` and
 :mod:`quncert.correlations`: :func:`measure_on_A` forms every branch and the
 post-measurement state explicitly, :func:`shannon` checks and sums one
-distribution, :func:`concurrence_x` reads the X-state closed form, and the two
-damping maps are written out entry by entry. ``tests/test_package.py`` keeps
-them off the kernels.
+distribution, :func:`concurrence_x` reads the X-state closed form,
+:func:`rank2_qubit_memory_j` gives J of a rank-2 state with a qubit memory in
+closed form, and the two damping maps are written out entry by entry.
+``tests/test_package.py`` keeps them off the kernels.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from quncert.bounds import Observable
 from quncert.channels import CHANNEL_TOL
 from quncert.correlations import _check_two_qubit
 from quncert.entropy import ProjectiveMeasurement, spectrum_entropies, von_neumann
-from quncert.linalg import DensityMatrix, kron, ptrace_mat, validate_density
+from quncert.linalg import PAULI_Y, DensityMatrix, kron, ptrace_mat, validate_density
 
 NEGLIGIBLE_OUTCOME = 1e-14
 PROB_TOL = 1e-9
@@ -171,3 +172,32 @@ def concurrence_x(rho: DensityMatrix) -> float:
     lam1 = abs(m[0, 3]) - np.sqrt(max(d[1] * d[2], 0.0))
     lam2 = abs(m[1, 2]) - np.sqrt(max(d[0] * d[3], 0.0))
     return float(2.0 * max(0.0, lam1, lam2))
+
+
+def rank2_qubit_memory_j(rho: DensityMatrix) -> tuple[float, float]:
+    """J_A of a state of rank <= 2 with dB = 2 in closed form, and the concurrence C of rho_BC.
+
+    Purify rho into |Psi>_ABC with a qubit C; a rank-1 measurement on A
+    prepares a pure-state ensemble of rho_BC, so J over rank-1 POVMs is
+    S(B) - E_F(rho_BC) (Koashi & Winter, PRA 69, 022309, 2004), and for the
+    two-qubit rho_BC, E_F = h((1 + sqrt(1 - C^2)) / 2) (Wootters, PRL 80,
+    2245, 1998). C = max(0, s_1 - s_2 - ...) from the singular values s of
+    tau = conj(w) (Y x Y) conj(w).T, whose rows w_a = <a|_A |Psi> decompose
+    rho_BC; no square root of the rank-deficient rho_BC is taken. With C > 0
+    Wootters' optimal decomposition has dA elements, each a projective
+    measurement on A, so this is the projective J; with C = 0 it is S(B),
+    only an upper bound on it.
+    """
+    d_a, d_b = rho.dims
+    if d_b != 2:
+        raise ValueError(f"the closed form needs a qubit memory, got dims {rho.dims}")
+    lam, v = np.linalg.eigh(rho.mat)
+    if not lam[:-2].max(initial=0.0) <= 1e-12:
+        raise ValueError(f"the closed form needs rank <= 2, got eigenvalues {lam}")
+    psi = v[:, -2:] * np.sqrt(np.clip(lam[-2:], 0.0, None))  # |Psi> = sum_c psi[:, c] |c>_C
+    w = psi.reshape(d_a, 2 * d_b)
+    tau = w.conj() @ kron(PAULI_Y, PAULI_Y) @ w.conj().T
+    s = np.linalg.svd(tau, compute_uv=False)
+    c = max(0.0, s[0] - s[1:].sum())
+    x = (1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0
+    return von_neumann(partial_trace(rho, "B")) - shannon([x, 1.0 - x]), c

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quncert import correlations
+from quncert.bounds import STACK_STATES
 from quncert.correlations import (
     KEEP,
     NEWTON_ITERS,
@@ -33,7 +34,7 @@ from quncert.scenarios import ScenarioSpec, random_density, run_scenario
 from quncert.states import bell_diagonal, bell_like, werner
 
 from helpers import FAST, pauli_measurement, rand_unitary, random_x_state
-from oracles import concurrence_x, measure_on_A, partial_trace
+from oracles import concurrence_x, measure_on_A, partial_trace, rank2_qubit_memory_j
 
 np_rng = np.random.default_rng(20240803)
 
@@ -130,6 +131,13 @@ def test_bell_diagonal_closed_point_eight():
 
 def test_bell_diagonal_closed_unit_coefficient():
     assert abs(bell_diagonal_classical_closed(1.0, -0.6, 0.6) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("triple", [(0.5, np.nan, 0.2), (np.nan, 0.0, 0.0), (0.0, 1.1, 0.0)])
+def test_bell_diagonal_closed_rejects_nan_and_out_of_range(triple):
+    # a NaN fails every comparison, so only a negated range check rejects it
+    with pytest.raises(ValueError, match="outside"):
+        bell_diagonal_classical_closed(*triple)
 
 
 def test_optimizer_matches_closed_form_on_bell_diagonal():
@@ -240,7 +248,7 @@ def test_newton_lanes_match_one_lane_searches(monkeypatch):
     def recorded(kind, kernel):
         def call(*args):
             m, x = args[-2:]
-            if m.ndim == 3:  # scoring passes one state's 2-D branch matrix
+            if x.shape[1] > 1:  # scoring passes the one start as a starts axis of length 1
                 calls.append((kind, m, x))
             return kernel(*args)
         return call
@@ -360,19 +368,70 @@ def test_hs_scores_match_measured_branches(d_b):
             assert abs(score - want) <= 1e-12
 
 
+def scoring_calls(monkeypatch, n_starts):
+    """The number of states of each scoring product of _search, by either scorer, as it runs."""
+    sizes = []
+
+    def exact(m, projectors):
+        if projectors.shape[-4] == n_starts:  # every start, so a scoring call, not a line search
+            sizes.append(len(m))
+        return branch_spectra(m, projectors)
+
+    def ranked(m, projectors):
+        sizes.append(len(m))
+        return _hs_scores(m, projectors)
+
+    monkeypatch.setattr(correlations, "branch_spectra", exact)
+    monkeypatch.setattr(correlations, "_hs_scores", ranked)
+    return sizes
+
+
 @pytest.mark.parametrize("rows", [1, 3 * 226])
-def test_hs_scores_in_several_products_equal_one_product(rows, monkeypatch):
-    # SCORE_ROWS = 1 takes one state per product, 3 * 226 three states of the default grid's
-    # 226 branch rows; the scores and J are bit for bit those of one product
-    starts = _starts(2, OptimizerConfig())
-    for d_b in (3, 4):
-        mats = np.stack([rho.mat for rho in stack_corpus((2, d_b), np.random.default_rng((20241029, d_b)))])
-        m, projectors = branch_matrix(mats, (2, d_b)), basis_projectors(starts)
-        one_scores, one_j = _hs_scores(m, projectors), classical_correlations(mats, (2, d_b))
+def test_scores_in_several_products_equal_one_product(rows, monkeypatch):
+    # SCORE_ROWS = 1 takes one state per product, 3 * 226 three states of the default qubit
+    # grid's 226 branch rows and all 7 qutrit states of 24 rows each; the values and bases are
+    # bit for bit those of one product
+    chunks = {1: {2: [1] * 7, 3: [1] * 7}, 3 * 226: {2: [3, 3, 1], 3: [7]}}[rows]
+    for dims in ((2, 2), (2, 3), (2, 4), (3, 2)):
+        mats = np.stack([rho.mat for rho in stack_corpus(dims, np.random.default_rng((20241029,) + dims))])
+        args = (mats, dims, _starts(dims[0], OptimizerConfig()), KEEP, NEWTON_ITERS[dims[0]])
+        one_values, one_bases = _search(*args)
         with monkeypatch.context() as patch:
+            sizes = scoring_calls(patch, len(args[2]))
             patch.setattr(correlations, "SCORE_ROWS", rows)
-            assert np.array_equal(_hs_scores(m, projectors), one_scores)
-            assert classical_correlations(mats, (2, d_b)).tolist() == one_j.tolist()
+            values, bases = _search(*args)
+        assert sizes == chunks[dims[0]]
+        assert values.tolist() == one_values.tolist()
+        assert np.array_equal(bases, one_bases)
+
+
+def test_default_qubit_chunk_is_scored_in_one_product(monkeypatch):
+    # a full chunk of evaluate_bounds_many at (2, 2) holds 128 * 226 branch rows at the default
+    # grid, within SCORE_ROWS, so one branch_spectra call scores every start of every state
+    rng = np.random.default_rng(20261023)
+    mats = np.stack([random_density(rng, (2, 2)).mat for _ in range(STACK_STATES)])
+    sizes = scoring_calls(monkeypatch, len(_starts(2, OptimizerConfig())))
+    classical_correlations(mats, (2, 2))
+    assert sizes == [STACK_STATES]
+
+
+@pytest.mark.parametrize("d_a", [2, 3])
+def test_rank2_qubit_memory_j_matches_closed_form(d_a):
+    # J of a rank-2 state with a qubit memory is S(B) - E_F(rho_BC) wherever rho_BC is entangled;
+    # where C(rho_BC) = 0 the closed form is only the POVM value, which J may not exceed
+    # the states are g g^+ / Tr, g a (2 dA) x 2 complex Gaussian
+    states = []
+    for i in range(400):
+        rng = np.random.default_rng((1, 10 * d_a + 2, i))
+        g = rng.normal(size=(2 * d_a, 2)) + 1j * rng.normal(size=(2 * d_a, 2))
+        states.append(validate_density(g @ g.conj().T / np.vdot(g, g).real, (d_a, 2)))
+    j = classical_correlations(np.stack([rho.mat for rho in states]), (d_a, 2))
+    want, c = np.array([rank2_qubit_memory_j(rho) for rho in states]).T
+    entangled = c > 0.0
+    assert np.abs(j - want)[entangled].max() <= 1e-12
+    assert (j[~entangled] <= want[~entangled] + 1e-12).all()
+    # the qutrit corpus holds both cases
+    assert entangled.sum() >= 350 and (d_a == 2 or not entangled.all())
 
 
 @pytest.mark.parametrize("d_b", [2, 3, 4])
